@@ -2,18 +2,15 @@
 
 The batched backend runs an entire experiment grid or seed-stability
 sweep as a *fleet* — one lane per (benchmark, selector, scale, seed)
-cell — advancing every trace-walking lane in lockstep over
-structure-of-arrays state, numpy-backed when the ``repro[fast]`` extra
-is installed and pure Python otherwise.  The serial fused pipeline
-remains the bit-identity oracle: per-cell reports and store digests
-are identical by construction and by test.  See ``docs/batching.md``.
+cell — advancing every trace-walking lane in lockstep over numpy
+structure-of-arrays state when the ``repro[fast]`` extra is installed.
+Without numpy a fleet runs each cell through serial ``simulate``.  The
+serial fused pipeline remains the bit-identity oracle: per-cell
+reports and store digests are identical by construction and by test.
+See ``docs/batching.md``.
 """
 
-from repro.batch.backend import (
-    HAVE_NUMPY,
-    available_backends,
-    get_backend,
-)
+from repro.batch.backend import HAVE_NUMPY, get_backend
 from repro.batch.fleet import (
     BatchCell,
     FleetResult,
@@ -23,7 +20,6 @@ from repro.batch.fleet import (
 
 __all__ = [
     "HAVE_NUMPY",
-    "available_backends",
     "get_backend",
     "BatchCell",
     "FleetResult",

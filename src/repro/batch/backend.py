@@ -1,13 +1,16 @@
-"""Array backends for the batched fleet kernel.
+"""Array substrate for the batched fleet kernel.
 
 The kernel (:mod:`repro.batch.kernel`) keeps all cross-lane state in
-structure-of-arrays columns: per-lane step counters, walk-table program
-counters, branch-model site state and one SplitMix64 state word per
-lane.  This module answers exactly two questions for it:
+numpy structure-of-arrays columns: per-lane step counters, walk-table
+program counters, branch-model site state and one SplitMix64 state
+word per lane.  This module answers exactly two questions for it:
 
-* which array substrate to use — ``numpy`` when importable (the
-  ``repro[fast]`` extra), a plain Python ``list`` otherwise, so the
-  stdlib-only install keeps every batched entry point working; and
+* which substrate runs a fleet — the ``numpy`` kernel when numpy is
+  importable (the ``repro[fast]`` extra), else ``serial``:
+  :func:`repro.batch.run_fleet` then runs each cell through the serial
+  ``simulate`` pipeline, so the stdlib-only install keeps every
+  batched entry point working with results identical by construction;
+  and
 * how to draw random numbers from SoA-resident RNG state **without
   perturbing the stream** the scalar pipeline would produce.
 
@@ -24,18 +27,17 @@ in ``tests/test_batch.py`` pins this against the scalar class.
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.behavior.rng import SplitMix64, _INV_2_64, _MASK64
 from repro.errors import ConfigError
 
-try:  # pragma: no cover - exercised via both backend parametrizations
+try:  # pragma: no cover - exercised with and without numpy in CI
     import numpy as _numpy
 except ImportError:  # pragma: no cover - numpy is present in CI
     _numpy = None
 
-#: ``numpy`` module when importable, else ``None`` (pure-Python mode).
+#: ``numpy`` module when importable, else ``None`` (serial fallback).
 HAVE_NUMPY = _numpy is not None
 
 #: SplitMix64 constants, shared with :class:`~repro.behavior.rng.SplitMix64`.
@@ -44,8 +46,8 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 # Lane modes (the lifecycle of docs/batching.md).
-M_SCALAR = 0  #: interpreting, or walking a CFG region (stepped per lane)
-M_VEC = 1  #: walking a trace table (advanced by the vector rounds)
+M_SCALAR = 0  #: interpreting (stepped per lane)
+M_VEC = 1  #: walking a trace or CFG table (advanced by the vector rounds)
 M_DONE = 2  #: retired - halted, returned from main, or out of steps
 
 # Walk-table decision kinds (arena ``a_kind`` column).
@@ -69,72 +71,19 @@ def numpy_module():
     return _numpy
 
 
-#: Environment override for backend resolution.  ``auto`` requests
-#: resolve to its value, and :func:`available_backends` narrows to it —
-#: which is how CI runs the whole fleet bit-identity suite once per
-#: substrate (``REPRO_BATCH_BACKEND=python`` gates the pure-Python
-#: fallback, not just imports it).  Explicit ``get_backend("numpy")`` /
-#: ``("python")`` calls ignore the variable.
-ENV_BACKEND = "REPRO_BATCH_BACKEND"
-
-
-def _env_backend() -> Optional[str]:
-    value = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if value in ("", "auto"):
-        return None
-    if value in ("numpy", "python"):
-        return value
-    raise ConfigError(
-        f"{ENV_BACKEND}={value!r} is not a batch backend: expected "
-        f"'auto', 'numpy' or 'python'"
-    )
-
-
-def available_backends() -> tuple:
-    """Backends usable in this interpreter, preferred first.
-
-    Honors ``REPRO_BATCH_BACKEND``: a forced substrate narrows the
-    tuple to it, so backend-parametrized suites run exactly the forced
-    substrate (forcing ``numpy`` without numpy installed raises at
-    :func:`get_backend` time and is not narrowed here).
-    """
-    forced = _env_backend()
-    if forced == "python":
-        return ("python",)
-    if forced == "numpy" and HAVE_NUMPY:
-        return ("numpy",)
-    return ("numpy", "python") if HAVE_NUMPY else ("python",)
-
-
 def get_backend(name: str = "auto") -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"python"``.
+    """Resolve the fleet substrate: ``"numpy"`` or ``"serial"``.
 
-    ``"auto"`` prefers numpy and silently falls back — unless
-    ``REPRO_BATCH_BACKEND`` forces a substrate, which ``auto`` then
-    resolves to.  Asking for ``"numpy"`` (explicitly or through the
-    environment) without the ``repro[fast]`` extra installed is a
-    :class:`~repro.errors.ConfigError`.
+    ``"auto"`` is the only request: the numpy kernel when numpy is
+    importable, else the serial per-cell fallback.  Any other name is
+    a :class:`~repro.errors.ConfigError`.
     """
-    if name == "auto":
-        forced = _env_backend()
-        if forced is not None:
-            name = forced
-        else:
-            return "numpy" if HAVE_NUMPY else "python"
-    if name == "numpy":
-        if not HAVE_NUMPY:
-            raise ConfigError(
-                "batch backend 'numpy' requested but numpy is not "
-                "installed (pip install 'repro[fast]'), use "
-                "backend='auto' or 'python'"
-            )
-        return "numpy"
-    if name == "python":
-        return "python"
-    raise ConfigError(
-        f"unknown batch backend {name!r}: expected 'auto', 'numpy' or "
-        f"'python'"
-    )
+    if name != "auto":
+        raise ConfigError(
+            f"unknown batch backend {name!r}: the substrate is chosen "
+            f"automatically (numpy when installed, else serial)"
+        )
+    return "numpy" if HAVE_NUMPY else "serial"
 
 
 class LaneRng:
@@ -156,9 +105,8 @@ class LaneRng:
         self.states = states
         self.index = index
         # numpy's ``item()`` yields a Python int in one C call —
-        # measurably cheaper than scalar ``__getitem__`` + int(); a
-        # list's plain ``__getitem__`` already returns an int.
-        self._read = getattr(states, "item", states.__getitem__)
+        # measurably cheaper than scalar ``__getitem__`` + int().
+        self._read = states.item
 
     def next_u64(self) -> int:
         state = (self._read(self.index) + GAMMA) & _MASK64
@@ -196,7 +144,7 @@ class LaneRng:
 
 
 def vector_random(states, lane_indices):
-    """One uniform draw per selected lane, vectorized (numpy backend).
+    """One uniform draw per selected lane, vectorized.
 
     Advances ``states[lane_indices]`` in place and returns a float64
     array in ``[0, 1)`` — the exact floats :meth:`LaneRng.random` would

@@ -2,8 +2,9 @@
 
 :func:`run_fleet` is the public face of :mod:`repro.batch`: hand it a
 list of :class:`BatchCell` coordinates (benchmark, selector, scale,
-seed) and it executes them all inside one :class:`FleetKernel`,
-returning per-cell :class:`~repro.metrics.summary.MetricReport` and
+seed) and it executes them all inside one :class:`FleetKernel` (or,
+without numpy, one serial ``simulate`` per cell), returning per-cell
+:class:`~repro.metrics.summary.MetricReport` and
 :class:`~repro.system.results.RunResult` objects that are
 **bit-identical** to what the serial pipeline produces for the same
 coordinates.  Lanes never interact — every lane has its own cache,
@@ -24,8 +25,8 @@ names accept the same ``micro:`` prefix as the bench harness, building
 a motif program instead of a SPEC model.
 
 Observability happens at batch granularity — ``fleet_started``, one
-``fleet_refill`` per queue admission, one ``fleet_lane_finished`` per
-cell, ``fleet_finished`` — matching the job-engine convention that
+``fleet_refill`` per queue admission, one ``fleet_lane_finished`` or
+``fleet_lane_failed`` per cell, ``fleet_finished`` — matching the job-engine convention that
 fleet-level events carry step 0 and order by their ``ts``/``seq``
 stamps.
 """
@@ -37,12 +38,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.batch.backend import get_backend
-from repro.batch.kernel import DEFAULT_QUOTA, FleetKernel
+from repro.batch.kernel import FleetKernel
 from repro.config import SystemConfig
 from repro.errors import ConfigError, ReproError
 from repro.metrics.summary import MetricReport
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.system.results import RunResult
+from repro.system.simulator import simulate
 from repro.workloads import build_benchmark
 from repro.workloads.micro import build_micro
 
@@ -65,14 +67,16 @@ class BatchCell:
 class FleetResult:
     """Everything one fleet run produced."""
 
+    #: ``"numpy"`` (the fleet kernel) or ``"serial"`` (no numpy).
     backend: str
     lanes: int
+    #: Kernel rounds (0 for the serial substrate).
     rounds: int
     #: Aggregate simulation steps across every lane.
     steps: int
     wall_seconds: float
-    #: Live-lane bound the kernel ran with (== ``lanes`` when the
-    #: whole fleet fit at once).
+    #: Live-lane bound the fleet ran with (== ``lanes`` when the whole
+    #: fleet fit at once; 1 for the serial substrate).
     max_lanes: int = 0
     #: Queue admissions into freed slots (0 for non-streaming runs).
     refills: int = 0
@@ -102,33 +106,28 @@ def build_fleet_program(benchmark: str, scale: float):
 def run_fleet(
     cells: Iterable[BatchCell],
     config: Optional[SystemConfig] = None,
-    backend: str = "auto",
     max_steps: Optional[int] = None,
     observer: Optional[Observer] = None,
-    quota: int = DEFAULT_QUOTA,
-    compaction: bool = True,
     max_lanes: Optional[int] = None,
     on_error: str = "raise",
 ) -> FleetResult:
     """Run every cell as one batched fleet; results match the serial
     pipeline bit for bit.
 
-    ``backend`` is ``"auto"`` (numpy when installed, else the pure
-    Python fallback), ``"numpy"`` or ``"python"`` — see
-    :func:`repro.batch.backend.get_backend`.  ``max_steps`` bounds
-    every lane (default: the engine's standard budget).  ``max_lanes``
-    caps the *live* lane population: with more cells than lanes the
-    kernel streams the remainder from a queue, re-seeding each slot
-    the moment its lane settles, so memory is bounded by ``max_lanes``
-    and the vector population stays wide while the queue lasts.
-    ``quota`` caps interp/CFG steps per lane per kernel round and
-    ``compaction`` toggles periodic lane re-sorting by mode.  All
-    three are scheduling knobs — they cannot change results, only wall
-    time.  ``on_error="continue"`` contains a failing cell (its
-    enriched error lands in ``FleetResult.failures``) instead of
-    aborting the fleet.
+    The substrate is :func:`repro.batch.backend.get_backend`'s: the
+    numpy fleet kernel when numpy is installed, else each cell runs
+    through serial :func:`~repro.system.simulator.simulate` (one build
+    per ``(benchmark, scale)``).  ``max_steps`` bounds every lane
+    (default: the engine's standard budget).  ``max_lanes`` caps the
+    *live* lane population: with more cells than lanes the kernel
+    streams the remainder from a queue, re-seeding each slot as its
+    lane settles, so memory is bounded by ``max_lanes`` and the vector
+    population stays wide while the queue lasts — a scheduling knob
+    that cannot change results, only wall time.  ``on_error="continue"``
+    contains a failing cell (its enriched error lands in
+    ``FleetResult.failures``) instead of aborting the fleet.
     """
-    backend = get_backend(backend)
+    backend = get_backend()
     config = config if config is not None else SystemConfig()
     obs = observer if observer is not None else NULL_OBSERVER
     cell_list: Tuple[BatchCell, ...] = tuple(cells)
@@ -147,28 +146,75 @@ def run_fleet(
 
     fleet = FleetResult(backend=backend, lanes=len(cell_list),
                         rounds=0, steps=0, wall_seconds=0.0)
-    total_steps = 0
 
-    def settled(lane, error):
-        nonlocal total_steps
-        cell = lane.cell
+    def settled(cell, result, error):
         if error is not None:
             fleet.failures[cell] = error
+            fleet.errors += 1
             obs.event(
                 "fleet_lane_failed", 0,
                 benchmark=cell.benchmark, selector=cell.selector,
                 scale=cell.scale, seed=cell.seed, error=str(error),
             )
             return
-        fleet.reports[cell] = lane.report
-        fleet.results[cell] = lane.result
-        steps = lane.engine.steps_executed
-        total_steps += steps
+        fleet.reports[cell] = MetricReport.from_result(result)
+        fleet.results[cell] = result
+        steps = result.stats.interp_steps + result.stats.cache_steps
+        fleet.steps += steps
         obs.event(
             "fleet_lane_finished", 0,
             benchmark=cell.benchmark, selector=cell.selector,
             scale=cell.scale, seed=cell.seed, steps=steps,
         )
+
+    obs.event("fleet_started", 0, lanes=len(cell_list), backend=backend)
+    started = time.perf_counter()
+    if backend == "serial":
+        fleet.max_lanes = 1
+        _run_serial(cell_list, config, max_steps, on_error, settled)
+    else:
+        kernel = _run_kernel(cell_list, config, max_steps, max_lanes,
+                             on_error, settled, obs)
+        fleet.rounds = kernel.rounds
+        fleet.max_lanes = kernel.max_lanes
+        fleet.refills = kernel.refills
+    fleet.wall_seconds = time.perf_counter() - started
+    obs.event("fleet_finished", 0, lanes=len(cell_list), backend=backend,
+              rounds=fleet.rounds, steps=fleet.steps,
+              wall_seconds=fleet.wall_seconds, max_lanes=fleet.max_lanes,
+              refills=fleet.refills, errors=fleet.errors)
+    return fleet
+
+
+def _run_serial(cells, config, max_steps, on_error, settled) -> None:
+    """The numpy-less fleet: each cell through serial ``simulate``.
+
+    Results are the serial pipeline's by construction.  A cell's
+    ``ReproError`` carries its benchmark and selector (``simulate``
+    adds the failing step), and is contained like a kernel lane's
+    under ``on_error="continue"``.
+    """
+    programs = {}
+    for cell in cells:
+        try:
+            key = (cell.benchmark, cell.scale)
+            program = programs.get(key)
+            if program is None:
+                program = programs[key] = build_fleet_program(*key)
+            result = simulate(program, cell.selector, config,
+                              seed=cell.seed, max_steps=max_steps)
+        except ReproError as exc:
+            exc.with_context(benchmark=cell.benchmark, selector=cell.selector)
+            if on_error != "continue":
+                raise
+            settled(cell, None, exc)
+            continue
+        settled(cell, result, None)
+
+
+def _run_kernel(cells, config, max_steps, max_lanes, on_error, settled,
+                obs) -> FleetKernel:
+    """Run the cells through the numpy fleet kernel; returns it."""
 
     def admitted(cell, slot, initial):
         if initial:
@@ -184,24 +230,9 @@ def run_fleet(
             active=kernel.active,
         )
 
-    obs.event("fleet_started", 0, lanes=len(cell_list), backend=backend)
-    started = time.perf_counter()
-    kernel = FleetKernel(cell_list, build_fleet_program, config, backend,
-                         max_steps=max_steps, quota=quota,
-                         compaction=compaction, max_lanes=max_lanes,
+    kernel = FleetKernel(cells, build_fleet_program, config,
+                         max_steps=max_steps, max_lanes=max_lanes,
                          on_error=on_error, on_settle=settled,
                          on_admit=admitted)
-    rounds = kernel.run()
-    wall = time.perf_counter() - started
-
-    fleet.rounds = rounds
-    fleet.steps = total_steps
-    fleet.wall_seconds = wall
-    fleet.max_lanes = kernel.max_lanes
-    fleet.refills = kernel.refills
-    fleet.errors = kernel.errors
-    obs.event("fleet_finished", 0, lanes=len(cell_list), backend=backend,
-              rounds=rounds, steps=total_steps, wall_seconds=wall,
-              max_lanes=kernel.max_lanes, refills=kernel.refills,
-              errors=kernel.errors)
-    return fleet
+    kernel.run()
+    return kernel

@@ -36,12 +36,11 @@ per-lane Python — scalar decisions (call/return stack effects,
 dynamic targets, unknown branch models) and unlinked exits (selector
 callbacks may install/evict regions) — then rejoins the next round.
 
-The pure-Python backend keeps the same lane lifecycle and per-lane
-scalar code but replaces the vector rounds with a per-lane trace walk
-(:meth:`repro.batch.lane.Lane.run_trace_scalar`); the arena is not
-built at all.  Either way, every decision replicates the fused
-reference loop bit for bit — ``tests/test_batch.py`` holds a fleet
-lane equal to a serial ``simulate`` run for the same cell.
+Every decision replicates the fused reference loop bit for bit —
+``tests/test_batch.py`` holds a fleet lane equal to a serial
+``simulate`` run for the same cell.  The kernel needs numpy; without
+it, :func:`repro.batch.run_fleet` runs each cell through ``simulate``
+instead and never constructs a kernel.
 """
 
 from __future__ import annotations
@@ -93,10 +92,10 @@ _O_CFG = 5
 #: hop's step count small relative to any step budget.
 _CFG_RUN_CAP = 256
 
-#: Default interp/CFG steps granted per lane per kernel round.  Large
-#: enough to amortize the per-round bookkeeping across the fleet,
-#: small enough that interpreting lanes rejoin the vector rounds
-#: promptly after a region install.
+#: Interp steps (or straggler trace decisions) granted per lane per
+#: kernel round.  Large enough to amortize the per-round bookkeeping
+#: across the fleet, small enough that interpreting lanes rejoin the
+#: vector rounds promptly after a region install.
 DEFAULT_QUOTA = 512
 
 #: Below this many trace-walking lanes, a vector round's fixed numpy
@@ -130,12 +129,12 @@ class FleetKernel:
 
     The kernel is a *streaming scheduler*: it holds at most
     ``max_lanes`` live lanes (SoA columns are sized to that), feeds
-    them from a cell queue, and re-seeds a slot in place the moment its
-    lane settles (:meth:`lane_done` → :meth:`_admit`) so the active set
-    stays above ``SCALAR_CUTOVER`` until the queue drains instead of
-    decaying into the scalar tail.  Settling is incremental — the
-    ``on_settle`` callback receives each finished lane's report, the
-    lane object is dropped, and its shared-state footprint (arena
+    them from a cell queue, and re-seeds a vacated slot in place before
+    the next interp pass (:meth:`_refill` → :meth:`_admit`) so the
+    active set stays above ``SCALAR_CUTOVER`` until the queue drains
+    instead of decaying into the scalar tail.  Settling is incremental
+    — the ``on_settle`` callback receives each finished lane's result,
+    the lane object is dropped, and its shared-state footprint (arena
     spans, table indices, link-mirror entries, branch-model site slots,
     its program when no other live lane shares it) is recycled — so
     memory is bounded by ``max_lanes``, not by the total cell count.
@@ -149,22 +148,12 @@ class FleetKernel:
         cells,
         program_for: Callable[[str, float], object],
         config,
-        backend: str,
         max_steps: Optional[int] = None,
-        quota: int = DEFAULT_QUOTA,
-        compaction: bool = True,
         max_lanes: Optional[int] = None,
         on_error: str = "raise",
         on_settle: Optional[Callable] = None,
         on_admit: Optional[Callable] = None,
     ) -> None:
-        self.backend = backend
-        self.vectorized = backend == "numpy"
-        self.quota = quota
-        #: Lane compaction is a pure scheduling knob (lanes are
-        #: independent, so slot order cannot change results) — but it
-        #: is toggleable so the property suite can prove exactly that.
-        self.compaction = compaction and self.vectorized
         self.compactions = 0
         self.rounds = 0
         self.config = config
@@ -181,16 +170,18 @@ class FleetKernel:
         self._interp_spans: Dict[Tuple[str, float], tuple] = {}
         #: Lane whose Python-side code is (or was last) executing; the
         #: vector sweeps themselves cannot raise ``ReproError``, so an
-        #: escaping error is always attributable to this lane.
+        #: escaping error is always attributable to this lane — or,
+        #: while :meth:`_refill` admits (``None``), to the cell being
+        #: admitted, whose context the error already carries.
         self._err_lane: Optional[Lane] = None
-        #: ``on_error="continue"`` contains a lane's ``ReproError``:
-        #: the cell settles as failed (the error reaches ``on_settle``)
-        #: and its slot refills; the default re-raises, aborting the
-        #: fleet like a serial run would abort its cell.
+        #: ``on_error="continue"`` contains a cell's ``ReproError``
+        #: (raised by its lane or by its admission): the cell settles
+        #: as failed (the error reaches ``on_settle``) and its slot
+        #: refills; the default re-raises, aborting the fleet like a
+        #: serial run would abort its cell.
         self.contain_errors = on_error == "continue"
         self.on_settle = on_settle
         self.on_admit = on_admit
-        self.errors = 0
         self.refills = 0
         self.settled = 0
         self.active = 0
@@ -204,40 +195,31 @@ class FleetKernel:
         #: the queue as lanes settle, and idle shared state is
         #: recycled aggressively.
         self.streaming = n < total
-        self.queue = deque(cells[n:])
+        self.queue = deque(cells)
 
-        np = numpy_module() if self.vectorized else None
+        np = numpy_module()
         self._np = np
-        if self.vectorized:
-            self.l_steps = np.zeros(n, dtype=np.int64)
-            self.l_max = np.zeros(n, dtype=np.int64)
-            self.l_walk = np.zeros(n, dtype=np.int64)
-            self.l_gpos = np.zeros(n, dtype=np.int64)
-            self.l_mode = np.full(n, M_SCALAR, dtype=np.int8)
-            self.l_cinst = np.zeros(n, dtype=np.int64)
-            self.l_trans = np.zeros(n, dtype=np.int64)
-            self.l_depth = np.zeros(n, dtype=np.int64)
-            self.l_dlim = np.zeros(n, dtype=np.int64)
-            #: SoA call stack — ``stk[lane, depth]`` holds a pushed
-            #: return site's block id; allocated on the first
-            #: call/return decider (:meth:`ensure_stack`).
-            self.stk = None
-            self.rng_states = np.zeros(n, dtype=np.uint64)
-            # Branch-model site slots (loop countdowns, periodic
-            # cursors) and the flattened periodic patterns, shared
-            # between the vector rounds and the lanes' closures.
-            self.site = np.zeros(64, dtype=np.int64)
-            self.pat_arena = np.zeros(64, dtype=bool)
-            self._init_arena(np)
-        else:
-            self.l_steps = [0] * n
-            self.l_max = [0] * n
-            self.l_walk = [0] * n
-            self.l_gpos = [0] * n
-            self.l_mode = [M_SCALAR] * n
-            self.rng_states = [0] * n
-            self.site: List[int] = []
-            self.pat_arena = None
+        self.l_steps = np.zeros(n, dtype=np.int64)
+        self.l_max = np.zeros(n, dtype=np.int64)
+        self.l_walk = np.zeros(n, dtype=np.int64)
+        self.l_gpos = np.zeros(n, dtype=np.int64)
+        # Vacant slots read as retired until :meth:`_admit` seeds them.
+        self.l_mode = np.full(n, M_DONE, dtype=np.int8)
+        self.l_cinst = np.zeros(n, dtype=np.int64)
+        self.l_trans = np.zeros(n, dtype=np.int64)
+        self.l_depth = np.zeros(n, dtype=np.int64)
+        self.l_dlim = np.zeros(n, dtype=np.int64)
+        #: SoA call stack — ``stk[lane, depth]`` holds a pushed return
+        #: site's block id; allocated on the first call/return decider
+        #: (:meth:`ensure_stack`).
+        self.stk = None
+        self.rng_states = np.zeros(n, dtype=np.uint64)
+        # Branch-model site slots (loop countdowns, periodic cursors)
+        # and the flattened periodic patterns, shared between the
+        # vector rounds and the lanes' closures.
+        self.site = np.zeros(64, dtype=np.int64)
+        self.pat_arena = np.zeros(64, dtype=bool)
+        self._init_arena(np)
         self._site_len = 0
         #: Site slots of settled lanes, reusable by admitted ones
         #: (zeroed at release — 0 is every model's idle encoding).
@@ -249,37 +231,67 @@ class FleetKernel:
 
         self.lanes: List[Optional[Lane]] = [None] * n
         self.remaining = total
-        for i in range(n):
-            self._admit(i, cells[i], initial=True)
+        self._refill(initial=True)
 
     # -- slot lifecycle (admission / settling) -----------------------------
-    def _admit(self, idx: int, cell, initial: bool = False) -> None:
-        """Seed (or re-seed) slot ``idx`` with a fresh lane for ``cell``.
+    def _refill(self, initial: bool = False) -> None:
+        """Admit queued cells into every vacant slot.
+
+        Runs between lane passes, never inside a lane's own code, so a
+        cell that fails admission (an unknown benchmark or selector) is
+        charged to itself: under ``on_error="continue"`` it settles as
+        failed and the slot takes the next queued cell; otherwise its
+        error escapes carrying that cell's benchmark and selector.
+        """
+        self._err_lane = None
+        queue = self.queue
+        lanes = self.lanes
+        for idx in range(len(lanes)):
+            if not queue:
+                return
+            if lanes[idx] is not None:
+                continue
+            while queue:
+                cell = queue.popleft()
+                try:
+                    self._admit(idx, cell, initial)
+                    break
+                except ReproError as exc:
+                    exc.with_context(benchmark=cell.benchmark,
+                                     selector=cell.selector)
+                    if not self.contain_errors:
+                        raise
+                    self._settle(cell, None, exc)
+
+    def _admit(self, idx: int, cell, initial: bool) -> None:
+        """Seed (or re-seed) vacant slot ``idx`` with a lane for ``cell``.
 
         Resets every per-lane column the previous occupant may have
         left behind — step counters, walk position, call depth, the
-        RNG state word — then builds the lane exactly as construction
-        does.  Stale SoA stack entries need no scrub: reads are gated
-        on ``l_depth``, which restarts at zero.  Runs inside the round
-        loop (from :meth:`lane_done`): the freed slot cannot appear in
-        any pending queue (a settling lane was that slot's only
-        claimant this round), and mode-index snapshots taken later in
-        the round pick the fresh lane up for its first scalar pass.
+        RNG state word — then builds the lane.  Stale SoA stack entries
+        need no scrub: reads are gated on ``l_depth``, which restarts
+        at zero.  A vacant slot cannot appear in any pending queue (its
+        settled lane was the slot's only claimant), and the round's
+        scalar snapshot, taken after :meth:`_refill`, picks the fresh
+        lane up for its first interp pass.
         """
         program = self._acquire_program(cell)
         self.l_steps[idx] = 0
         self.l_walk[idx] = 0
         self.l_gpos[idx] = 0
-        self.l_mode[idx] = M_SCALAR
         self.rng_states[idx] = cell.seed & _MASK64
-        if self.vectorized:
-            self.l_cinst[idx] = 0
-            self.l_trans[idx] = 0
-            self.l_depth[idx] = 0
-        lane = Lane(self, idx, cell, program, self.config, self._max_steps)
+        self.l_cinst[idx] = 0
+        self.l_trans[idx] = 0
+        self.l_depth[idx] = 0
+        try:
+            lane = Lane(self, idx, cell, program, self.config,
+                        self._max_steps)
+        except ReproError:
+            self._release_program(cell)
+            raise
+        self.l_mode[idx] = M_SCALAR
         self.l_max[idx] = lane.max_steps
-        if self.vectorized:
-            self.l_dlim[idx] = lane.engine.max_call_depth
+        self.l_dlim[idx] = lane.engine.max_call_depth
         self.lanes[idx] = lane
         self.active += 1
         if not initial:
@@ -311,7 +323,7 @@ class FleetKernel:
             del self._programs[key]
             self._interp_spans.pop(key, None)
 
-    # -- arena management (numpy backend) ---------------------------------
+    # -- arena management ---------------------------------------------------
     #: ``a_tnext``/``a_fnext`` are CFG-only: the absolute arena
     #: position an internal taken/fall transfer lands on (-1 = the
     #: transfer leaves the region); ``a_tcyc``/``a_fcyc`` flag the
@@ -439,12 +451,9 @@ class FleetKernel:
             return free.pop()
         slot = self._site_len
         self._site_len += 1
-        if self.vectorized:
-            if slot >= self.site.shape[0]:
-                self.site = self._grown(self._np, self.site,
-                                        self.site.shape[0] * 2)
-        else:
-            self.site.append(0)
+        if slot >= self.site.shape[0]:
+            self.site = self._grown(self._np, self.site,
+                                    self.site.shape[0] * 2)
         return slot
 
     def alloc_pattern(self, pattern: Tuple[bool, ...]) -> int:
@@ -454,8 +463,6 @@ class FleetKernel:
         read afterwards, so every lane using the same pattern shares
         one copy — the arena cannot grow with admissions.
         """
-        if not self.vectorized:
-            return -1
         cached = self._pat_cache.get(pattern)
         if cached is not None:
             return cached
@@ -484,8 +491,6 @@ class FleetKernel:
         exact check order — advance to the next path position first,
         then taken-cycle-back to the top, else exit.
         """
-        if not self.vectorized:
-            return
         n = table.path_len
         base = self._arena_reserve(n)
         tidx = self._alloc_tidx(table)
@@ -601,8 +606,6 @@ class FleetKernel:
         run state (an observed-edge set membership, a popped stack
         frame), so they defer to the lane's own closure.
         """
-        if not self.vectorized:
-            return
         block_list = table.block_list
         n = len(block_list)
         base = self._arena_reserve(n)
@@ -760,8 +763,6 @@ class FleetKernel:
         region — called before any selector callback or metric read
         can observe it.
         """
-        if not self.vectorized:
-            return
         tidx = table.arena_tidx
         if tidx < 0:
             return
@@ -796,8 +797,6 @@ class FleetKernel:
         the position and direction; dict equality does not see
         insertion order).
         """
-        if not self.vectorized:
-            return
         base = table.arena_base
         if base < 0:
             return
@@ -854,34 +853,22 @@ class FleetKernel:
             column[:] = 0
 
     def lane_done(self, lane: Lane) -> None:
-        """Settle a finished lane and refill its slot from the queue.
+        """Settle a finished lane and vacate its slot.
 
         Called at the very end of :meth:`Lane._finish` — the lane's
-        report and result are built, every banked counter is folded,
-        and nothing touches its columns afterwards, so the slot can be
-        re-seeded immediately.  Mode-index snapshots taken later in
-        the same round pick the fresh lane up for its first scalar
-        pass, keeping the vector population wide.
+        result is built, every banked counter is folded, and nothing
+        touches its columns afterwards.  The slot is re-seeded by the
+        round's next :meth:`_refill`, outside this lane's code.
         """
-        self.remaining -= 1
-        self.settled += 1
-        self.active -= 1
-        if self.on_settle is not None:
-            self.on_settle(lane, None)
-        self._release_lane(lane)
-        idx = lane.idx
-        self.lanes[idx] = None
-        if self.queue:
-            self._admit(idx, self.queue.popleft())
+        self._settle(lane.cell, lane, None)
 
     def _fail_lane(self, lane: Lane, exc: ReproError) -> None:
         """Contain a lane error (``on_error="continue"``).
 
         The cell settles as failed — the enriched error reaches
-        ``on_settle`` in place of a report — its shared state is
+        ``on_settle`` in place of a result — and its shared state is
         released (banked counts are discarded, matching the serial
-        pipeline, which aborts the cell before reporting), and the
-        slot refills so the rest of the fleet streams on.
+        pipeline, which aborts the cell before reporting).
         """
         exc.with_context(
             benchmark=lane.program.name,
@@ -890,26 +877,34 @@ class FleetKernel:
         )
         lane.mode = M_DONE
         self.l_mode[lane.idx] = M_DONE
-        self.errors += 1
+        self._settle(lane.cell, lane, exc)
+
+    def _settle(self, cell, lane: Optional[Lane],
+                error: Optional[ReproError]) -> None:
+        """Account one settled cell; ``lane`` is None when admission failed.
+
+        ``on_settle`` receives ``(cell, result, error)``: the lane's
+        :class:`~repro.system.results.RunResult` when it finished, else
+        the contained error.
+        """
         self.remaining -= 1
         self.settled += 1
-        self.active -= 1
         if self.on_settle is not None:
-            self.on_settle(lane, exc)
-        self._release_lane(lane)
-        idx = lane.idx
-        self.lanes[idx] = None
-        if self.queue:
-            self._admit(idx, self.queue.popleft())
+            self.on_settle(cell, None if error is not None else lane.result,
+                           error)
+        if lane is not None:
+            self.active -= 1
+            self._release_lane(lane)
+            self.lanes[lane.idx] = None
 
     def _release_lane(self, lane: Lane) -> None:
         """Recycle a settled lane's shared-state footprint.
 
         Branch-model site slots rejoin the free pool (zeroed — 0 is
         every model's idle encoding), the lane's program reference
-        drops (streaming runs release idle programs entirely), and on
-        the numpy backend every table the lane compiled — resident or
-        long evicted — returns its arena span and table index to the
+        drops (streaming runs release idle programs entirely), and
+        every table the lane compiled — resident or long evicted —
+        returns its arena span and table index to the
         free lists.  Spans are zeroed here rather than at reuse so a
         recycled span is indistinguishable from fresh storage, and the
         link-mirror entries keyed by container id are removed while
@@ -923,8 +918,6 @@ class FleetKernel:
             for slot in sites:
                 site[slot] = 0
             self._site_free.extend(sites)
-        if not self.vectorized:
-            return
         for table in lane.dispatch.trace_tables:
             self._release_table(table, table.path_len)
         for table in lane.dispatch.cfg_tables:
@@ -976,69 +969,49 @@ class FleetKernel:
             raise
 
     def _run_rounds(self) -> int:
-        quota = self.quota
         lanes = self.lanes
         contain = self.contain_errors
+        np = self._np
         rounds = 0
-        if self.vectorized:
-            np = self._np
-            while self.remaining:
-                rounds += 1
-                vec_idx = np.nonzero(self.l_mode == M_VEC)[0]
-                # The emptiness check matters when the cutover is 0
-                # (forced-vector runs): an all-interp round has no
-                # vector lanes to sweep or compact.
-                if vec_idx.size and vec_idx.size >= SCALAR_CUTOVER:
-                    if (self.compaction and rounds % COMPACT_EVERY == 0
-                            and int(vec_idx[-1]) - int(vec_idx[0]) + 1
-                            > 2 * vec_idx.size):
-                        self._compact()
-                    self._vector_round()
-                else:
-                    # Lanes only ever change their own mode, so a
-                    # snapshot of the slot indices stays valid across
-                    # the sweep (a settled slot's successor starts in
-                    # scalar mode and is picked up below).
-                    for li in vec_idx.tolist():
-                        lane = lanes[li]
-                        self._err_lane = lane
-                        try:
-                            lane.run_trace_scalar(quota)
-                        except ReproError as exc:
-                            if not contain:
-                                raise
-                            self._fail_lane(lane, exc)
-                # This snapshot runs *after* the vector round, so lanes
-                # admitted while it settled finishers take their first
-                # interp pass in the same round — the refill keeps the
-                # active set wide with no idle round in between.
-                for li in np.nonzero(self.l_mode == M_SCALAR)[0].tolist():
+        while self.remaining:
+            rounds += 1
+            vec_idx = np.nonzero(self.l_mode == M_VEC)[0]
+            # The emptiness check matters when the cutover is 0
+            # (forced-vector runs): an all-interp round has no vector
+            # lanes to sweep or compact.
+            if vec_idx.size and vec_idx.size >= SCALAR_CUTOVER:
+                if (rounds % COMPACT_EVERY == 0
+                        and int(vec_idx[-1]) - int(vec_idx[0]) + 1
+                        > 2 * vec_idx.size):
+                    self._compact()
+                self._vector_round()
+            else:
+                # Lanes only ever change their own mode, so a snapshot
+                # of the slot indices stays valid across the sweep.
+                for li in vec_idx.tolist():
                     lane = lanes[li]
                     self._err_lane = lane
                     try:
-                        lane.run_scalar(quota)
+                        lane.run_trace_scalar(DEFAULT_QUOTA)
                     except ReproError as exc:
                         if not contain:
                             raise
                         self._fail_lane(lane, exc)
-        else:
-            while self.remaining:
-                rounds += 1
-                for li in range(len(lanes)):
-                    lane = lanes[li]
-                    if lane is None:
-                        continue
-                    try:
-                        if lane.mode == M_SCALAR:
-                            self._err_lane = lane
-                            lane.run_scalar(quota)
-                        if lane.mode == M_VEC:
-                            self._err_lane = lane
-                            lane.run_trace_scalar(quota)
-                    except ReproError as exc:
-                        if not contain:
-                            raise
-                        self._fail_lane(lane, exc)
+            # Refill *before* the scalar snapshot, so lanes admitted
+            # into slots vacated this round (or by last round's scalar
+            # pass) take their first interp pass now — the refill
+            # keeps the active set wide with no idle round in between.
+            if self.queue and self.active < self.max_lanes:
+                self._refill()
+            for li in np.nonzero(self.l_mode == M_SCALAR)[0].tolist():
+                lane = lanes[li]
+                self._err_lane = lane
+                try:
+                    lane.run_scalar(DEFAULT_QUOTA)
+                except ReproError as exc:
+                    if not contain:
+                        raise
+                    self._fail_lane(lane, exc)
         self.rounds = rounds
         return rounds
 
@@ -1052,7 +1025,7 @@ class FleetKernel:
         active set.  Lanes are mutually independent and this runs only
         at a round boundary (no pending vector work), so slot order is
         pure scheduling — results are bit-identical either way, which
-        the property suite proves by toggling ``compaction``.  Every
+        the property suite proves by toggling ``COMPACT_EVERY``.  Every
         per-lane column moves; the arrays are permuted in place so the
         ``LaneRng`` adapters' ``states`` reference stays valid, and
         each lane's ``idx``/``rng.index`` is re-pointed (the decision
@@ -1071,9 +1044,9 @@ class FleetKernel:
             self.stk[:] = self.stk[order]
         lanes = self.lanes
         # In-place permutation: the run loop holds a reference to this
-        # list across rounds.  Settled slots with a drained queue hold
-        # None — their mode is M_DONE, so they sort behind every live
-        # lane and nothing re-points them.
+        # list across rounds.  Vacant slots hold None — their mode is
+        # M_DONE, so they sort behind every live lane and nothing
+        # re-points them.
         lanes[:] = [lanes[int(j)] for j in order]
         for i, lane in enumerate(lanes):
             if lane is None:
@@ -1446,9 +1419,9 @@ class FleetKernel:
         # Per-lane Python complement (divergent work), after every
         # vectorized write above has landed.  A lane appears at most
         # once across the queues: pending a lane removed it from the
-        # active set, so nothing below observes stale column state —
-        # and a settling lane's slot can be re-seeded immediately (the
-        # fresh lane is in no queue).  Each queue is homogeneous, so
+        # active set, so nothing below observes stale column state, and
+        # a settling lane only vacates its slot (the round's
+        # :meth:`_refill` re-seeds it afterwards).  Each queue is homogeneous, so
         # the handler dispatch is hoisted out of the per-lane loop; a
         # diverged lane costs one grouped pass per round, not a fully
         # general scalar step.  Order across queues is fixed but

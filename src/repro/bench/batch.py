@@ -115,7 +115,6 @@ def run_batched_bench(
     config: Optional[SystemConfig] = None,
     lanes: Optional[int] = None,
     scale: Optional[float] = None,
-    backend: str = "auto",
 ) -> Dict[str, object]:
     """Measure one pinned fleet serial-vs-batched; returns its record.
 
@@ -127,7 +126,7 @@ def run_batched_bench(
     :class:`~repro.errors.ReproError` if any lane's report differs
     from its serial twin.
     """
-    from repro.batch import BatchCell, build_fleet_program, get_backend, run_fleet
+    from repro.batch import BatchCell, build_fleet_program, run_fleet
 
     if fleet is None:
         fleet = BATCHED_FLEETS[0]
@@ -166,8 +165,7 @@ def run_batched_bench(
         serial_reports[cell] = MetricReport.from_result(result)
     serial_wall = time.perf_counter() - started
 
-    fleet_result = run_fleet(cells, config=config, backend=backend,
-                             max_lanes=fleet.max_lanes)
+    fleet_result = run_fleet(cells, config=config, max_lanes=fleet.max_lanes)
     mismatched = [
         cell for cell in cells
         if fleet_result.reports[cell] != serial_reports[cell]
@@ -190,7 +188,6 @@ def run_batched_bench(
         "max_lanes": fleet_result.max_lanes,
         "refills": fleet_result.refills,
         "backend": fleet_result.backend,
-        "requested_backend": get_backend(backend),
         "rounds": fleet_result.rounds,
         "steps": fleet_result.steps,
         "wall_seconds": round(float(batched_wall), 6),
@@ -212,11 +209,10 @@ def run_batched_bench(
 def run_batched_benches(
     quick: bool = False,
     config: Optional[SystemConfig] = None,
-    backend: str = "auto",
 ) -> List[Dict[str, object]]:
     """Measure every pinned fleet; returns the ``batched`` record list."""
     return [
-        run_batched_bench(fleet, quick=quick, config=config, backend=backend)
+        run_batched_bench(fleet, quick=quick, config=config)
         for fleet in BATCHED_FLEETS
     ]
 

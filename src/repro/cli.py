@@ -406,8 +406,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """``repro fleet``: run a (benchmark x selector x seed) grid batched.
 
-    One lane per cell through the vectorized fleet kernel — the CLI
-    face of :func:`repro.batch.run_fleet`.  Reports aggregate
+    One lane per cell through the vectorized fleet kernel (without
+    numpy, one serial ``simulate`` per cell) — the CLI face of
+    :func:`repro.batch.run_fleet`.  Reports aggregate
     throughput plus a per-cell metric line; every cell's numbers are
     bit-identical to what ``repro run`` prints for it.
     """
@@ -429,8 +430,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     observer = Observer(sink=sink)
     try:
         fleet = run_fleet(cells, config=_config_from(args),
-                          backend=args.backend, max_lanes=args.max_lanes,
-                          observer=observer)
+                          max_lanes=args.max_lanes, observer=observer)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -438,7 +438,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
           f"{fleet.steps:,} events in {fleet.wall_seconds:.2f}s "
           f"({fleet.events_per_second:,.0f} events/s, "
           f"{fleet.rounds} rounds)")
-    if fleet.max_lanes < fleet.lanes:
+    if fleet.refills:
         # Queue progress from the obs event stamps: the last admission
         # says how the stream ended; settled counts finish afterwards.
         refill_events = [e for e in sink.events if e.kind == "fleet_refill"]
@@ -648,13 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pin the store address component that normally "
                             "tracks the git SHA")
     serve.add_argument("--backend", default="serial",
-                       choices=("serial", "batched", "batched-numpy",
-                                "batched-python"),
+                       choices=("serial", "batched"),
                        help="cold-dispatch backend: per-cell job engine, "
                             "or one vectorized fleet per batch (results "
                             "are bit-identical; see docs/batching.md)")
     serve.add_argument("--max-lanes", type=int, default=None, metavar="N",
-                       help="batched backends: cap each fleet's live lane "
+                       help="batched backend: cap each fleet's live lane "
                             "population and stream larger batches from a "
                             "queue (default 256; 0 = unbounded)")
     serve.add_argument("--trace-events", metavar="PATH", default=None,
@@ -694,10 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seeds", type=int, default=1, metavar="N",
                        help="seeds per (benchmark, selector) pair, "
                             "counting up from --seed (default 1)")
-    fleet.add_argument("--backend", default="auto",
-                       choices=("auto", "numpy", "python"),
-                       help="array backend (default auto: numpy when "
-                            "installed; see docs/batching.md)")
     fleet.add_argument("--max-lanes", type=int, default=None, metavar="N",
                        help="cap the live lane population; remaining "
                             "cells stream from a queue into freed slots "

@@ -38,8 +38,7 @@ def main(argv=None) -> int:
                         help="processes to fan grid cells over (default 1; "
                              "results are identical at any worker count)")
     parser.add_argument("--backend", default="serial",
-                        choices=["serial", "batched", "batched-numpy",
-                                 "batched-python"],
+                        choices=["serial", "batched"],
                         help="grid execution backend: the per-cell job "
                              "engine, or one vectorized fleet (results "
                              "are bit-identical; see docs/batching.md)")

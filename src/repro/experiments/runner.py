@@ -29,8 +29,8 @@ from repro.system.simulator import simulate
 from repro.workloads import benchmark_names, build_benchmark
 
 #: ``run_grid`` execution backends: the job-engine path, or one fleet
-#: through :mod:`repro.batch` (optionally pinning the array substrate).
-GRID_BACKENDS = ("serial", "batched", "batched-numpy", "batched-python")
+#: through :mod:`repro.batch`.
+GRID_BACKENDS = ("serial", "batched")
 
 
 def _grid_cell(
@@ -137,8 +137,7 @@ def run_grid(
     ``backend="batched"`` computes every missing cell as one fleet
     through :func:`repro.batch.run_fleet` instead of the job engine —
     vectorized over SoA state when numpy is installed, bit-identical
-    to the serial run either way (``batched-numpy``/``batched-python``
-    pin the array substrate; see ``docs/batching.md``).  The store
+    to the serial run either way (see ``docs/batching.md``).  The store
     interaction is unchanged: cached cells are served from disk and
     fresh ones persisted.  ``workers`` is ignored (a fleet is one
     process); per-worker ``telemetry`` and the reference pipeline
@@ -154,7 +153,7 @@ def run_grid(
             f"unknown grid backend {backend!r}: expected one of "
             f"{', '.join(GRID_BACKENDS)}"
         )
-    batched = backend != "serial"
+    batched = backend == "batched"
     if batched and (telemetry or telemetry_out is not None):
         raise ConfigError(
             "telemetry requires per-cell workers: use backend='serial' "
@@ -173,7 +172,7 @@ def run_grid(
     if fleet_max_lanes is not None and not batched:
         raise ConfigError(
             "fleet_max_lanes is a batched-backend knob: use "
-            "backend='batched' (or a pinned substrate variant)"
+            "backend='batched'"
         )
     config = config if config is not None else SystemConfig()
     bench_list = tuple(benchmarks) if benchmarks is not None else benchmark_names()
@@ -215,9 +214,7 @@ def run_grid(
 
         fleet_cells = [BatchCell(bench, selector, scale=scale, seed=seed)
                        for bench, selector in missing]
-        fleet_backend = backend[len("batched-"):] if "-" in backend else "auto"
-        result = run_fleet(fleet_cells, config=config,
-                           backend=fleet_backend, observer=obs,
+        result = run_fleet(fleet_cells, config=config, observer=obs,
                            max_lanes=fleet_max_lanes)
         for fleet_cell, cell in zip(fleet_cells, missing):
             report = result.reports[fleet_cell]

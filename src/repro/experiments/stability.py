@@ -133,13 +133,12 @@ def seed_stability(
         raise ConfigError("at least one seed is required")
     config = config if config is not None else SystemConfig()
     bench_list = tuple(benchmarks) if benchmarks is not None else benchmark_names()
-    if backend != "serial":
-        if backend not in ("batched", "batched-numpy", "batched-python"):
-            raise ConfigError(
-                f"unknown stability backend {backend!r}: expected "
-                f"'serial', 'batched', 'batched-numpy' or "
-                f"'batched-python'"
-            )
+    if backend not in ("serial", "batched"):
+        raise ConfigError(
+            f"unknown stability backend {backend!r}: expected "
+            f"'serial' or 'batched'"
+        )
+    if backend == "batched":
         from repro.batch import BatchCell, run_fleet
 
         # One lane per (benchmark, selector, seed); dict.fromkeys
@@ -152,8 +151,7 @@ def seed_stability(
         )
         fleet_cells = [BatchCell(bench, selector, scale=scale, seed=seed)
                        for bench, selector, seed in wanted]
-        fleet_backend = backend[len("batched-"):] if "-" in backend else "auto"
-        result = run_fleet(fleet_cells, config=config, backend=fleet_backend)
+        result = run_fleet(fleet_cells, config=config)
         reports = {
             key: result.reports[cell]
             for key, cell in zip(wanted, fleet_cells)

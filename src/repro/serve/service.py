@@ -118,11 +118,10 @@ class SimulationService:
         backend: str = "serial",
         fleet_max_lanes: Optional[int] = DEFAULT_FLEET_MAX_LANES,
     ) -> None:
-        if backend not in ("serial", "batched", "batched-numpy",
-                           "batched-python"):
+        if backend not in ("serial", "batched"):
             raise ServeError(
-                f"unknown service backend {backend!r}: expected 'serial', "
-                f"'batched', 'batched-numpy' or 'batched-python'"
+                f"unknown service backend {backend!r}: expected 'serial' "
+                f"or 'batched'"
             )
         if backend != "serial" and not fast:
             raise ServeError(
@@ -322,8 +321,6 @@ class SimulationService:
         """
         from repro.batch import BatchCell, run_fleet
 
-        fleet_backend = (self.backend[len("batched-"):]
-                         if "-" in self.backend else "auto")
         groups: Dict[str, List[_Pending]] = {}
         for pending in batch:
             groups.setdefault(repr(pending.request.config), []).append(pending)
@@ -336,7 +333,7 @@ class SimulationService:
                 for pending in group
             ]
             fleet = run_fleet(cells, config=group[0].request.config,
-                              backend=fleet_backend, observer=self.obs,
+                              observer=self.obs,
                               max_lanes=self.fleet_max_lanes)
             for pending, cell in zip(group, cells):
                 report = fleet.reports[cell]

@@ -90,3 +90,20 @@ def diamond_program():
     main.block("A2", insts=1).cond("A", model=LoopTrip(400))
     main.block("done", insts=1).halt()
     return pb.build()
+
+
+@pytest.fixture(params=["numpy", "serial"])
+def fleet_substrate(request, monkeypatch):
+    """Run a fleet test on the numpy kernel and on the serial fallback.
+
+    The fallback is what ``run_fleet`` uses when numpy cannot be
+    imported; hiding numpy from the backend resolver forces it.  The
+    kernel param skips when numpy is not installed.
+    """
+    from repro.batch import backend
+
+    if request.param == "serial":
+        monkeypatch.setattr(backend, "HAVE_NUMPY", False)
+    elif not backend.HAVE_NUMPY:
+        pytest.skip("numpy not installed")
+    return request.param

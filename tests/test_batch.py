@@ -3,9 +3,10 @@
 The batched backend's contract is *bit-identity*: for every cell it
 must produce exactly the MetricReport the serial pipeline produces.
 These tests enforce that across benchmarks, selectors, bounded caches
-under eviction, step budgets, both array substrates, and the error
-path — plus the SplitMix64 lane-RNG equivalence the whole scheme
-rests on.  See ``docs/batching.md``.
+under eviction, step budgets and the error path — on the numpy kernel
+and on the serial fallback that runs when numpy is missing — plus the
+SplitMix64 lane-RNG equivalence the whole scheme rests on.  See
+``docs/batching.md``.
 """
 
 import os
@@ -15,7 +16,6 @@ import pytest
 from repro.batch import (
     BatchCell,
     HAVE_NUMPY,
-    available_backends,
     build_fleet_program,
     get_backend,
     run_fleet,
@@ -31,23 +31,31 @@ from repro.metrics.summary import MetricReport
 from repro.obs import CollectingSink, Observer
 from repro.system.simulator import simulate
 
-BACKENDS = available_backends()
-
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 
-@pytest.fixture(params=["vector", "cutover"])
-def lane_regime(request, monkeypatch):
-    """Run the identity suite under both kernel regimes.
+#: A compaction cadence no fleet reaches (rounds count from 1).
+NO_COMPACTION = 2**62
 
-    ``SCALAR_CUTOVER`` sends small fleets down the per-lane scalar
-    fallback, so a test-sized fleet would never exercise the vector
-    rounds at all; the ``vector`` regime forces the cutover to zero so
-    the same fleets run the full vectorized path, and ``cutover``
-    keeps the shipped default (all-scalar at these sizes).
+
+@pytest.fixture(params=["vector", "cutover", "serial"] if HAVE_NUMPY
+                else ["serial"])
+def lane_regime(request, monkeypatch):
+    """Run the identity suite under both kernel regimes and the fallback.
+
+    ``SCALAR_CUTOVER`` sends small fleets down the per-lane straggler
+    path, so a test-sized fleet would never exercise the vector rounds
+    at all; the ``vector`` regime forces the cutover to zero so the
+    same fleets run the full vectorized path, and ``cutover`` keeps
+    the shipped default (all-straggler at these sizes).  ``serial``
+    hides numpy from the backend resolver, so the same fleets run the
+    numpy-less fallback and must forward config, step budget and error
+    context to ``simulate``.  Without numpy it is the only regime.
     """
     if request.param == "vector":
         monkeypatch.setattr(kernel_mod, "SCALAR_CUTOVER", 0)
+    elif request.param == "serial":
+        monkeypatch.setattr(backend_mod, "HAVE_NUMPY", False)
     return request.param
 
 
@@ -59,10 +67,8 @@ def serial_report(cell: BatchCell, config=None, max_steps=None) -> MetricReport:
     return MetricReport.from_result(result)
 
 
-def assert_fleet_matches_serial(cells, config=None, backend="auto",
-                                max_steps=None):
-    fleet = run_fleet(cells, config=config, backend=backend,
-                      max_steps=max_steps)
+def assert_fleet_matches_serial(cells, config=None, max_steps=None):
+    fleet = run_fleet(cells, config=config, max_steps=max_steps)
     for cell in cells:
         assert fleet.reports[cell] == serial_report(
             cell, config=config, max_steps=max_steps
@@ -72,22 +78,25 @@ def assert_fleet_matches_serial(cells, config=None, backend="auto",
 
 class TestBackendResolution:
     def test_auto_prefers_numpy_when_available(self):
-        assert get_backend("auto") == BACKENDS[0]
+        assert get_backend("auto") == ("numpy" if HAVE_NUMPY else "serial")
+        assert get_backend() == get_backend("auto")
 
-    def test_python_always_available(self):
-        assert get_backend("python") == "python"
-        assert "python" in BACKENDS
+    @pytest.mark.parametrize("name", ["cuda", "numpy", "python", "serial"])
+    def test_only_auto_is_accepted(self, name):
+        with pytest.raises(ConfigError, match="unknown batch backend"):
+            get_backend(name)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            get_backend("cuda")
-
-    def test_explicit_numpy_without_numpy_is_an_error(self, monkeypatch):
+    def test_auto_without_numpy_is_serial(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "HAVE_NUMPY", False)
-        with pytest.raises(ConfigError, match="numpy"):
-            get_backend("numpy")
-        # auto degrades silently — that's the whole point of "auto".
-        assert get_backend("auto") == "python"
+        assert get_backend("auto") == "serial"
+
+    @pytest.mark.parametrize("backend", ["batched-numpy", "batched-python"])
+    def test_removed_grid_backends_rejected(self, backend):
+        from repro.experiments.runner import run_grid
+
+        with pytest.raises(ConfigError, match="unknown grid backend"):
+            run_grid(scale=0.05, benchmarks=("gzip",), selectors=("net",),
+                     backend=backend)
 
 
 @needs_numpy
@@ -137,10 +146,9 @@ class TestLaneRngEquivalence:
         assert (states == mirror).all()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.usefixtures("lane_regime")
 class TestFleetBitIdentity:
-    def test_micro_motifs_all_selectors(self, backend):
+    def test_micro_motifs_all_selectors(self):
         cells = [
             BatchCell(f"micro:{motif}", selector, scale=0.3, seed=seed)
             for motif in ("figure2", "figure4", "self_loop", "linked_chain",
@@ -148,51 +156,39 @@ class TestFleetBitIdentity:
             for selector in ("net", "lei", "combined-net")
             for seed in (1, 9)
         ]
-        assert_fleet_matches_serial(cells, backend=backend)
+        assert_fleet_matches_serial(cells)
 
-    def test_spec_benchmarks(self, backend):
+    def test_spec_benchmarks(self):
         cells = [
             BatchCell(bench, selector, scale=0.05, seed=3)
             for bench in ("gzip", "mcf")
             for selector in ("net", "lei")
         ]
-        assert_fleet_matches_serial(cells, backend=backend)
+        assert_fleet_matches_serial(cells)
 
     @pytest.mark.parametrize("policy", ["flush", "fifo"])
-    def test_bounded_cache_under_eviction(self, backend, policy):
+    def test_bounded_cache_under_eviction(self, policy):
         config = SystemConfig(cache_capacity_bytes=2000,
                               cache_eviction_policy=policy)
         cells = [
             BatchCell(bench, "net", scale=0.05, seed=7)
             for bench in ("gzip", "bzip2")
         ] + [BatchCell("micro:linked_chain", "lei", scale=0.5, seed=7)]
-        assert_fleet_matches_serial(cells, config=config, backend=backend)
+        assert_fleet_matches_serial(cells, config=config)
 
     @pytest.mark.parametrize("max_steps", [1, 7, 997])
-    def test_step_budget_truncation(self, backend, max_steps):
+    def test_step_budget_truncation(self, max_steps):
         cells = [
             BatchCell("micro:alternating", "net", scale=0.3, seed=1),
             BatchCell("gzip", "lei", scale=0.05, seed=2),
         ]
-        assert_fleet_matches_serial(cells, backend=backend,
-                                    max_steps=max_steps)
+        assert_fleet_matches_serial(cells, max_steps=max_steps)
 
 
-@needs_numpy
-def test_numpy_and_python_backends_agree():
-    cells = [
-        BatchCell("micro:figure3", sel, scale=0.3, seed=s)
-        for sel in ("net", "lei") for s in (1, 2)
-    ]
-    by_numpy = run_fleet(cells, backend="numpy")
-    by_python = run_fleet(cells, backend="python")
-    assert by_numpy.backend == "numpy"
-    assert by_python.backend == "python"
-    for cell in cells:
-        assert by_numpy.reports[cell] == by_python.reports[cell]
-
-
+@pytest.mark.usefixtures("fleet_substrate")
 class TestFleetValidation:
+    """Both substrates reject the same bad requests the same way."""
+
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigError, match="at least one cell"):
             run_fleet([])
@@ -202,6 +198,79 @@ class TestFleetValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             run_fleet([cell, cell])
 
+    def test_max_lanes_below_one_rejected(self):
+        cell = BatchCell("gzip", "net", scale=0.05, seed=1)
+        with pytest.raises(ConfigError, match="max_lanes must be >= 1"):
+            run_fleet([cell], max_lanes=0)
+
+    def test_bad_on_error_rejected(self):
+        cell = BatchCell("gzip", "net", scale=0.05, seed=1)
+        with pytest.raises(ConfigError, match="on_error"):
+            run_fleet([cell], on_error="retry")
+
+
+class TestSerialFallback:
+    """Without numpy, ``run_fleet`` runs each cell through ``simulate``."""
+
+    CELLS = (
+        BatchCell("micro:figure3", "net", scale=0.3, seed=1),
+        BatchCell("micro:figure3", "lei", scale=0.3, seed=2),
+        BatchCell("gzip", "combined-net", scale=0.05, seed=3),
+    )
+
+    @pytest.fixture(autouse=True)
+    def _no_numpy(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "HAVE_NUMPY", False)
+
+    def test_reports_equal_simulate(self):
+        fleet = assert_fleet_matches_serial(self.CELLS)
+        assert fleet.backend == "serial"
+        assert fleet.rounds == 0
+        assert fleet.max_lanes == 1
+        assert fleet.steps == sum(
+            r.stats.interp_steps + r.stats.cache_steps
+            for r in fleet.results.values())
+
+    def test_events_name_the_serial_substrate(self):
+        sink = CollectingSink()
+        bad = BatchCell("nosuch", "net", scale=0.05, seed=1)
+        cells = self.CELLS + (bad,)
+        run_fleet(cells, observer=Observer(sink=sink), on_error="continue")
+        started = sink.by_kind("fleet_started")
+        finished = sink.by_kind("fleet_finished")
+        assert len(started) == len(finished) == 1
+        assert started[0].payload["backend"] == "serial"
+        assert finished[0].payload["backend"] == "serial"
+        assert finished[0].payload["errors"] == 1
+        lanes = sink.by_kind("fleet_lane_finished")
+        failed = sink.by_kind("fleet_lane_failed")
+        assert [(e.payload["benchmark"], e.payload["seed"])
+                for e in lanes] == [
+            (c.benchmark, c.seed) for c in self.CELLS]
+        assert [e.payload["benchmark"] for e in failed] == ["nosuch"]
+        assert not sink.by_kind("fleet_refill")
+
+    def test_on_error_continue_contains_a_failing_cell(self, monkeypatch):
+        orig = ExecutionEngine.__init__
+
+        def shallow(self, *args, **kwargs):
+            kwargs["max_call_depth"] = 3
+            orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionEngine, "__init__", shallow)
+        bad = BatchCell("micro:recursion", "net", scale=0.3, seed=2)
+        good = BatchCell("micro:figure3", "net", scale=0.3, seed=1)
+        fleet = run_fleet([bad, good], on_error="continue")
+        assert list(fleet.failures) == [bad]
+        assert list(fleet.reports) == [good]
+        assert fleet.errors == 1
+        error = fleet.failures[bad]
+        assert isinstance(error, ExecutionError)
+        assert error.context["benchmark"] == "micro_recursion"
+        assert error.context["selector"] == "net"
+        with pytest.raises(ExecutionError):
+            run_fleet([bad, good])
+
 
 class TestFleetResultAndEvents:
     def test_fleet_result_aggregates(self):
@@ -209,7 +278,8 @@ class TestFleetResultAndEvents:
                  for s in (1, 2, 3)]
         fleet = run_fleet(cells)
         assert fleet.lanes == 3
-        assert fleet.rounds >= 1
+        # Rounds count kernel sweeps; the serial fallback has none.
+        assert (fleet.rounds >= 1) == (fleet.backend == "numpy")
         assert fleet.wall_seconds > 0
         per_lane = [fleet.results[c].stats.interp_steps
                     + fleet.results[c].stats.cache_steps for c in cells]
@@ -243,10 +313,8 @@ class TestRetireBeforeFold:
     every single eviction, not just at end of run.
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("policy", ["flush", "fifo"])
-    def test_eviction_moment_stats_match_serial(self, backend, policy,
-                                                monkeypatch):
+    def test_eviction_moment_stats_match_serial(self, policy, monkeypatch):
         from repro.cache.codecache import BoundedCodeCache
 
         monkeypatch.setattr(kernel_mod, "SCALAR_CUTOVER", 0)
@@ -276,10 +344,11 @@ class TestRetireBeforeFold:
             serial_seqs.extend(by_cache.values())
         assert serial_seqs, "workloads too small to trigger eviction"
         by_cache.clear()
-        run_fleet(cells, config=config, backend=backend)
+        run_fleet(cells, config=config)
         assert sorted(by_cache.values()) == sorted(serial_seqs)
 
 
+@needs_numpy
 class TestCompactionIdentity:
     """Lane compaction re-sorts slots without disturbing any lane."""
 
@@ -294,10 +363,8 @@ class TestCompactionIdentity:
             for seed in range(16)
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compaction_toggle_is_bit_identical(self, backend, monkeypatch):
+    def test_compaction_toggle_is_bit_identical(self, monkeypatch):
         monkeypatch.setattr(kernel_mod, "SCALAR_CUTOVER", 0)
-        monkeypatch.setattr(kernel_mod, "COMPACT_EVERY", 1)
         compactions = []
         orig = kernel_mod.FleetKernel._compact
 
@@ -307,10 +374,12 @@ class TestCompactionIdentity:
 
         monkeypatch.setattr(kernel_mod.FleetKernel, "_compact", spy)
         cells = self._fragmenting_cells()
-        on = run_fleet(cells, backend=backend, compaction=True)
-        off = run_fleet(cells, backend=backend, compaction=False)
-        if backend == "numpy":
-            assert compactions, "fleet never fragmented; test is inert"
+        monkeypatch.setattr(kernel_mod, "COMPACT_EVERY", NO_COMPACTION)
+        off = run_fleet(cells)
+        assert not compactions
+        monkeypatch.setattr(kernel_mod, "COMPACT_EVERY", 1)
+        on = run_fleet(cells)
+        assert compactions, "fleet never fragmented; test is inert"
         for cell in cells:
             assert on.reports[cell] == off.reports[cell]
             assert on.reports[cell] == serial_report(cell)
@@ -329,16 +398,15 @@ class TestErrorContextParity:
 
         monkeypatch.setattr(ExecutionEngine, "__init__", patched)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.usefixtures("lane_regime")
-    def test_call_overflow_matches_serial(self, tiny_call_depth, backend):
+    def test_call_overflow_matches_serial(self, tiny_call_depth):
         program = build_fleet_program("micro:recursion", 0.3)
         with pytest.raises(ExecutionError) as serial_exc:
             simulate(program, "net", seed=2)
         cells = [BatchCell("micro:recursion", "net", scale=0.3, seed=s)
                  for s in (2, 3, 4, 5)]
         with pytest.raises(ExecutionError) as fleet_exc:
-            run_fleet(cells, backend=backend)
+            run_fleet(cells)
         # Same canonical message body...
         assert (str(fleet_exc.value).split(" [")[0]
                 == str(serial_exc.value).split(" [")[0])

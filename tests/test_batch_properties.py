@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchCell, available_backends, run_fleet
+from repro.batch import BatchCell, run_fleet
 from repro.batch import kernel as kernel_mod
 from repro.metrics.summary import MetricReport
 from repro.system.simulator import simulate
 from repro.batch.fleet import build_fleet_program
 
-BACKENDS = available_backends()
+#: A compaction cadence no fleet reaches (rounds count from 1).
+NO_COMPACTION = 2**62
 
 #: A small, heterogeneous grid: three motifs with different region
 #: shapes (loop nest, self loop, trace chain) across two selectors.
@@ -100,26 +101,25 @@ def mixed_oracle():
 @given(
     order=st.permutations(range(len(MIXED_POOL))),
     size=st.integers(min_value=2, max_value=len(MIXED_POOL)),
-    compaction=st.booleans(),
-    backend=st.sampled_from(BACKENDS),
+    compact_every=st.sampled_from((1, kernel_mod.COMPACT_EVERY,
+                                   NO_COMPACTION)),
     cutover=st.sampled_from((0, kernel_mod.SCALAR_CUTOVER)),
     max_lanes=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
 )
 def test_mixed_mode_interleavings_match_serial(mixed_oracle, order, size,
-                                               compaction, backend, cutover,
+                                               compact_every, cutover,
                                                max_lanes):
     """Any interleaving of CFG, interp and trace lanes, with compaction
-    on or off, the vector path forced or cut over, and any streaming
-    admission schedule, is bit-identical to the serial oracle on every
-    available backend."""
+    every round, at the shipped cadence or never, the vector path
+    forced or cut over, and any streaming admission schedule, is
+    bit-identical to the serial oracle."""
     cells = [MIXED_POOL[i] for i in order[:size]]
-    old = kernel_mod.SCALAR_CUTOVER
-    kernel_mod.SCALAR_CUTOVER = cutover
-    try:
-        fleet = run_fleet(cells, backend=backend, compaction=compaction,
-                          max_lanes=max_lanes)
-    finally:
-        kernel_mod.SCALAR_CUTOVER = old
+    # Hypothesis reruns the body per example inside one test call, so
+    # the kernel knobs are patched per example, not per test.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_mod, "SCALAR_CUTOVER", cutover)
+        patch.setattr(kernel_mod, "COMPACT_EVERY", compact_every)
+        fleet = run_fleet(cells, max_lanes=max_lanes)
     for cell in cells:
         assert fleet.reports[cell] == mixed_oracle[cell]
 

@@ -5,7 +5,9 @@ per-cell reports are independent of queue order, ``max_lanes`` and
 refill timing, memory stays bounded by the live-lane cap, and a
 contained lane failure (``on_error="continue"``) frees its slot for
 the next queued cell instead of aborting the fleet.  The oracle is
-always the serial fused pipeline.  See ``docs/batching.md``.
+always the serial fused pipeline.  Admission and refill are kernel
+mechanics, so their tests need numpy; the rest also run on the serial
+fallback.  See ``docs/batching.md``.
 """
 
 import os
@@ -14,18 +16,18 @@ import pytest
 
 from repro.batch import (
     BatchCell,
-    available_backends,
+    HAVE_NUMPY,
     build_fleet_program,
     run_fleet,
 )
 from repro.batch.lane import Lane
 from repro.config import SystemConfig
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ConfigError, ExecutionError, ReproError
 from repro.metrics.summary import MetricReport
 from repro.obs import CollectingSink, Observer
 from repro.system.simulator import simulate
 
-BACKENDS = available_backends()
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 #: A mixed pool — trace chains, a self loop, CFG regions, LEI and an
 #: interp-heavy tail — so refills land lanes of every execution mode
@@ -65,12 +67,11 @@ def fleet_observer():
 class TestStreamingIdentity:
     """Reports never depend on the admission schedule."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_lanes_one_degenerates_to_serial_order(self, backend, oracle):
+    @needs_numpy
+    def test_max_lanes_one_degenerates_to_serial_order(self, oracle):
         """One live slot streams the queue strictly in cell order."""
         observer, sink = fleet_observer()
-        fleet = run_fleet(POOL, backend=backend, max_lanes=1,
-                          observer=observer)
+        fleet = run_fleet(POOL, max_lanes=1, observer=observer)
         assert fleet.reports == oracle
         assert fleet.max_lanes == 1
         assert fleet.refills == len(POOL) - 1
@@ -80,17 +81,18 @@ class TestStreamingIdentity:
                 for e in finished] == [
             (c.benchmark, c.selector, c.seed) for c in POOL]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @needs_numpy
     @pytest.mark.parametrize("max_lanes", [2, 3, 5, None])
-    def test_cap_and_queue_order_do_not_move_results(self, backend,
-                                                     max_lanes, oracle):
+    def test_cap_and_queue_order_do_not_move_results(self, max_lanes,
+                                                     oracle):
         for cells in (POOL, tuple(reversed(POOL)), POOL[4:] + POOL[:4]):
-            fleet = run_fleet(cells, backend=backend, max_lanes=max_lanes)
+            fleet = run_fleet(cells, max_lanes=max_lanes)
             assert fleet.reports == oracle
             expected = (0 if max_lanes is None or max_lanes >= len(cells)
                         else len(cells) - max_lanes)
             assert fleet.refills == expected
 
+    @needs_numpy
     def test_refill_events_account_for_every_cell(self):
         """Admission events carry consistent queue-progress counters."""
         observer, sink = fleet_observer()
@@ -108,6 +110,7 @@ class TestStreamingIdentity:
         settled = [event.get("settled") for event in refills]
         assert settled == sorted(settled)
 
+    @pytest.mark.usefixtures("fleet_substrate")
     def test_max_lanes_validation(self):
         with pytest.raises(ConfigError):
             run_fleet(POOL, max_lanes=0)
@@ -131,16 +134,15 @@ def failing_lane(monkeypatch):
     monkeypatch.setattr(Lane, "run_scalar", boom)
 
 
+@needs_numpy
 class TestErrorContainment:
     """on_error='continue' refills an errored slot and streams on."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_admission_into_an_errored_slot(self, backend, oracle,
-                                            failing_lane):
+    def test_admission_into_an_errored_slot(self, oracle, failing_lane):
         cells = (BAD,) + POOL  # the failure occupies slot 0 first
         observer, sink = fleet_observer()
-        fleet = run_fleet(cells, backend=backend, max_lanes=2,
-                          on_error="continue", observer=observer)
+        fleet = run_fleet(cells, max_lanes=2, on_error="continue",
+                          observer=observer)
         assert BAD in fleet.failures
         assert BAD not in fleet.reports
         assert fleet.errors == 1
@@ -164,15 +166,58 @@ class TestErrorContainment:
             run_fleet((BAD,) + POOL[:2], max_lanes=1)
 
 
+@pytest.mark.usefixtures("fleet_substrate")
+class TestAdmissionFailure:
+    """A cell that cannot be admitted is charged to itself.
+
+    An unknown benchmark fails while its program is built, an unknown
+    selector while its lane is.  Behind a single live slot that happens
+    when the previous cell settles, and the failure must not be pinned
+    on that cell.
+    """
+
+    GOOD_FIRST = BatchCell("gzip", "net", scale=0.05, seed=1)
+    GOOD_LAST = BatchCell("mcf", "lei", scale=0.05, seed=1)
+
+    @pytest.fixture(params=[BatchCell("nosuch", "net", scale=0.05, seed=1),
+                            BatchCell("gzip", "bogus", scale=0.05, seed=1)],
+                    ids=["benchmark", "selector"])
+    def bad(self, request):
+        return request.param
+
+    def test_continue_charges_the_failing_cell(self, bad):
+        cells = (self.GOOD_FIRST, bad, self.GOOD_LAST)
+        fleet = run_fleet(cells, max_lanes=1, on_error="continue")
+        assert set(fleet.failures) == {bad}
+        assert set(fleet.reports) == {self.GOOD_FIRST, self.GOOD_LAST}
+        assert fleet.errors == 1
+        error = fleet.failures[bad]
+        assert error.context["benchmark"] == bad.benchmark
+        assert error.context["selector"] == bad.selector
+        for cell in (self.GOOD_FIRST, self.GOOD_LAST):
+            assert fleet.reports[cell] == serial_report(cell)
+
+    def test_raise_names_the_failing_cell(self, bad):
+        with pytest.raises(ReproError) as caught:
+            run_fleet((self.GOOD_FIRST, bad, self.GOOD_LAST), max_lanes=1)
+        assert caught.value.context["benchmark"] == bad.benchmark
+        assert caught.value.context["selector"] == bad.selector
+
+    def test_failure_in_the_first_admission(self, bad):
+        fleet = run_fleet((bad, self.GOOD_LAST), max_lanes=1,
+                          on_error="continue")
+        assert set(fleet.failures) == {bad}
+        assert set(fleet.reports) == {self.GOOD_LAST}
+
+
 class TestBoundedCacheStreaming:
     """Refill composes with bounded-cache eviction, bit-identically."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("policy", ["flush", "fifo"])
-    def test_eviction_during_streaming_matches_serial(self, backend, policy):
+    def test_eviction_during_streaming_matches_serial(self, policy):
         config = SystemConfig(cache_capacity_bytes=400,
                               cache_eviction_policy=policy)
-        fleet = run_fleet(POOL, config=config, backend=backend, max_lanes=2)
+        fleet = run_fleet(POOL, config=config, max_lanes=2)
         for cell in POOL:
             assert fleet.reports[cell] == serial_report(cell, config)
 

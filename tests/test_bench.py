@@ -199,7 +199,7 @@ class TestBatchedBench:
         assert fleet_record["events_per_second"] > 0
         assert fleet_record["serial_events_per_second"] > 0
         assert fleet_record["speedup"] > 0
-        assert fleet_record["backend"] in ("numpy", "python")
+        assert fleet_record["backend"] in ("numpy", "serial")
 
     def test_format_renders_one_line(self, fleet_record):
         from repro.bench import format_batched_record
@@ -278,7 +278,7 @@ class TestBatchedBench:
         real = batch_mod.run_batched_bench
         monkeypatch.setattr(
             batch_mod, "run_batched_benches",
-            lambda quick=False, config=None, backend="auto":
+            lambda quick=False, config=None:
                 [real(lanes=4, scale=0.05, quick=quick)],
         )
         out = tmp_path / "run.json"

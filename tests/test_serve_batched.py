@@ -158,12 +158,21 @@ class TestBatchedValidation:
             SimulationService(ResultStore(str(tmp_path / "s")),
                               backend="batched", fast=False)
 
-    @pytest.mark.parametrize("backend", ["batched", "batched-python"])
-    def test_named_substrates_accepted(self, tmp_path, backend):
+    @pytest.mark.parametrize("backend", ["batched-numpy", "batched-python"])
+    def test_removed_substrate_names_rejected(self, tmp_path, backend):
+        with pytest.raises(ServeError, match="unknown service backend"):
+            SimulationService(ResultStore(str(tmp_path / "s")),
+                              backend=backend)
+
+    def test_serial_fallback_serves_identical_reports(self, tmp_path,
+                                                      monkeypatch):
+        from repro.batch import backend as backend_mod
+
+        monkeypatch.setattr(backend_mod, "HAVE_NUMPY", False)
+
         async def scenario(service):
             return await service.resolve(_request())
 
-        report, source, _ = _run_service(tmp_path, scenario,
-                                         backend=backend)
+        report, source, _ = _run_service(tmp_path, scenario)
         assert source == "computed"
         assert report == _direct_report()

@@ -136,7 +136,6 @@ class Lane:
             config.cache_capacity_bytes, config.cache_eviction_policy
         )
         self.cache.observer = NULL_OBSERVER
-        self.cache.bind_program(program)
         self.selector: RegionSelector = make_selector(
             cell.selector, self.cache, config, program
         )

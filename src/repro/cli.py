@@ -46,7 +46,6 @@ from repro.selection.registry import SELECTOR_FACTORIES
 from repro.system.simulator import Simulator, simulate
 from repro.tracing.collector import (
     collect_trace,
-    replay_trace,
     replay_trace_into,
     trace_header,
 )
@@ -549,12 +548,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     simulator = Simulator(program, args.selector, _config_from(args),
                           observer=observer)
     try:
-        if args.reference:
-            result = simulator.run(replay_trace(args.trace, program))
-        else:
-            result = simulator.run_push(
-                lambda consume: replay_trace_into(args.trace, program, consume)
-            )
+        result = simulator.run_push(
+            lambda consume: replay_trace_into(args.trace, program, consume)
+        )
     finally:
         _finish_observer(observer, args)
     print(f"replayed {header.program_name!r} through {args.selector}")
@@ -743,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scale used when the trace was collected")
     replay.add_argument("--cache-capacity", type=int, default=None)
     replay.add_argument("--eviction", choices=("flush", "fifo"), default="flush")
-    replay.add_argument("--reference", action="store_true",
-                        help="replay through the reference pull pipeline "
-                             "instead of the fused push decoder")
     _add_obs(replay)
     replay.set_defaults(func=cmd_replay)
     return parser

@@ -11,13 +11,14 @@ Two execution modes share the same decision semantics:
 * :meth:`ExecutionEngine.run` — the *reference* pull-mode generator,
   yielding one :class:`Step` per executed block.  Simple to consume,
   but pays a generator suspension and a ``Step`` allocation per block.
-* :meth:`ExecutionEngine.run_into` — the *fast* push mode: the engine
-  calls ``consumer(block, taken, target)`` per block, with branch-kind
+* :meth:`ExecutionEngine.run_into` — the push mode: the engine calls
+  ``consumer(block, taken, target)`` per block, with branch-kind
   dispatch and model lookup resolved **once per block** into a decision
   closure instead of once per execution, and no ``Step`` objects at
-  all.  ``(program, seed)`` determines the exact same stream on both
-  paths; the bit-identity suite in ``tests/test_fast_path.py`` holds
-  them equal.
+  all.  The simulator's fused loop inlines the same per-block decision
+  closures (:meth:`ExecutionEngine._decider_for`).  ``(program, seed)``
+  determines the exact same stream on both paths; the bit-identity
+  suite in ``tests/test_fast_path.py`` holds them equal.
 """
 
 from __future__ import annotations

@@ -48,7 +48,9 @@ from repro.cache.codecache import make_cache
 from repro.cache.dispatch import DispatchTable
 from repro.cache.icache import InstructionCache
 from repro.cache.region import Region
-from repro.errors import ReproError, SelectionError
+from repro.errors import (
+    ExecutionError, ProgramStructureError, ReproError, SelectionError,
+)
 from repro.execution.engine import ExecutionEngine
 from repro.execution.events import Step
 from repro.obs.observer import NULL_OBSERVER, Observer
@@ -159,10 +161,6 @@ class Simulator:
             self.config.cache_capacity_bytes, self.config.cache_eviction_policy
         )
         self.cache.observer = self.observer
-        if program.is_finalized:
-            # Finalized programs carry dense block ids; flat id-indexed
-            # residency replaces dict hashing in the fast paths.
-            self.cache.bind_program(program)
         self.selector: RegionSelector = make_selector(
             selector_name, self.cache, self.config, program
         )
@@ -187,33 +185,32 @@ class Simulator:
 
         This is the *reference* pull-mode pipeline: any iterable of
         :class:`Step` objects works (a live engine generator, a replay,
-        a hand-built list).  The fused fast path —
-        :meth:`run_program` / :meth:`run_push` — produces bit-identical
-        results without the per-step ``Step`` traffic.
+        a hand-built list).  It feeds the same loop body as
+        :meth:`run_push`; the fused fast path (:meth:`run_program`)
+        produces bit-identical results without the per-step ``Step``
+        traffic.
         """
-        return self._execute(
-            lambda stats, edge_profile, step_hooks, events_on, prof:
-            self._run_loop(steps, stats, edge_profile, step_hooks,
-                           events_on, prof)
-        )
+        def producer(consume):
+            for step in steps:
+                consume(step.block, step.taken, step.target)
+
+        return self.run_push(producer)
 
     def run_push(self, producer) -> RunResult:
-        """Fast path: consume a push-mode step producer.
+        """Consume a push-mode step producer.
 
         ``producer`` is called once with a ``consume(block, taken,
         target)`` callback and must invoke it for every step in order
         (e.g. :meth:`ExecutionEngine.run_into
         <repro.execution.engine.ExecutionEngine.run_into>` or
         :func:`repro.tracing.replay_trace_into` via ``partial``).  The
-        per-step simulator logic runs inside the callback, so the whole
-        execute→simulate pipeline is one fused loop with no generator
-        suspension and no ``Step`` allocation outside selector
-        callbacks.  Results are bit-identical to :meth:`run` over the
-        equivalent stream.
+        producer's own loop drives the simulation directly, with no
+        generator suspension; results are bit-identical to :meth:`run`
+        over the equivalent stream.
         """
         return self._execute(
             lambda stats, edge_profile, step_hooks, events_on, prof:
-            self._run_push(producer, stats, edge_profile, step_hooks,
+            self._run_loop(producer, stats, edge_profile, step_hooks,
                            events_on, prof)
         )
 
@@ -241,7 +238,11 @@ class Simulator:
         )
 
     def _execute(self, loop) -> RunResult:
-        """Shared run scaffolding around one of the two loop bodies."""
+        """Shared run scaffolding around one of the two loop bodies.
+
+        ``loop`` runs either the reference :meth:`_run_loop` or the
+        fused :meth:`_run_fused`.
+        """
         stats = RunStats()
         edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int] = {}
         selector = self.selector
@@ -340,17 +341,24 @@ class Simulator:
 
     def _run_loop(
         self,
-        steps: Iterable[Step],
+        producer,
         stats: RunStats,
         edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int],
         step_hooks: Tuple[StepHook, ...],
         events_on: bool,
         prof,
     ) -> int:
-        """The hot loop; returns the final step index.
+        """The reference loop body; returns the final step index.
 
-        Instrumentation is branch-gated on ``events_on`` / ``prof`` so
-        the disabled path stays identical to the uninstrumented loop.
+        The per-step logic is a ``consume(block, taken, target)``
+        closure handed to ``producer``, so one body serves every
+        non-fused pipeline: :meth:`run` feeds it from a ``Step``
+        iterable, :meth:`run_push` from a push producer (the engine's
+        ``run_into`` or the trace decoder's ``steps_into``).  ``Step``
+        objects are built only where selectors take them: on every
+        interpreted step and at cache exits.  Instrumentation is
+        branch-gated on ``events_on`` / ``prof`` so the disabled path
+        stays identical to the uninstrumented loop.
         """
         selector = self.selector
         cache = self.cache
@@ -362,17 +370,13 @@ class Simulator:
         trace_position = 0
         region_is_trace = False
 
-        if prof is not None:
-            prof.enter("interpret")
-        for step in steps:
+        def consume(block, taken, target):
+            nonlocal step_index, region, trace_position, region_is_trace
             step_index += 1
             cache.now = step_index
             if step_hooks:
                 for hook in step_hooks:
                     hook.on_step(step_index)
-            block = step.block
-            taken = step.taken
-            target = step.target
 
             if target is not None:
                 edge = (block, target)
@@ -381,6 +385,7 @@ class Simulator:
 
             if region is None:
                 # ---- interpreting -------------------------------------
+                step = Step(block, taken, target)
                 selector.observe_interpreted(step)
                 stats.interp_steps += 1
                 stats.interp_instructions += block.bundle.count
@@ -419,7 +424,7 @@ class Simulator:
                                 entry=target.full_label,
                                 order=region.selection_order,
                             )
-                continue
+                return
 
             # ---- executing in the cache -------------------------------
             count = block.bundle.count
@@ -441,12 +446,12 @@ class Simulator:
                     if next_position == 0 and taken:
                         region.cycle_backs += 1
                     trace_position = next_position
-                    continue
+                    return
             else:
                 if region.stays_internal(block, taken, target):
                     if target is region.entry:
                         region.cycle_backs += 1
-                    continue
+                    return
 
             # The transfer leaves the region.
             region.exit_count += 1
@@ -454,7 +459,7 @@ class Simulator:
                 region = None
                 if prof is not None:
                     prof.switch("interpret")
-                continue
+                return
             linked = cache.lookup(target)
             if linked is not None:
                 # A linked exit stub: direct region-to-region jump.
@@ -463,7 +468,7 @@ class Simulator:
                 region_is_trace = linked.is_trace
                 trace_position = 0
                 region.entry_count += 1
-                continue
+                return
             # Exit to the interpreter; the exit target becomes a start
             # candidate, and (LEI) may complete a cycle that installs and
             # immediately enters a new region.
@@ -480,6 +485,7 @@ class Simulator:
                     order=exited_region.selection_order,
                     exit_target=target.full_label,
                 )
+            step = Step(block, taken, target)
             if prof is not None:
                 prof.enter("selector_decide")
                 selector.on_cache_exit(step, exited_region)
@@ -502,265 +508,8 @@ class Simulator:
                         entry=target.full_label,
                         order=region.selection_order,
                     )
-        return step_index
 
-    def _run_push(
-        self,
-        producer,
-        stats: RunStats,
-        edge_profile: Dict[Tuple[BasicBlock, BasicBlock], int],
-        step_hooks: Tuple[StepHook, ...],
-        events_on: bool,
-        prof,
-    ) -> int:
-        """The fused fast loop: :meth:`_run_loop`'s body as a callback.
-
-        The per-step logic is a closure handed to ``producer``, so the
-        producer's own loop (the engine's ``run_into`` or the trace
-        decoder's ``steps_into``) drives the simulation directly — no
-        generator suspension, no :class:`Step` unpacking.  ``Step``
-        objects are built only where selectors need them: on every
-        interpreted step and at cache exits; the cache walk — the bulk
-        of a hot run — allocates nothing.  Residency lookups index the
-        cache's flat id-keyed mirror when a finalized program is bound
-        (one list index per taken branch instead of a dict probe), and
-        the region walk inlines ``position_after`` /
-        ``stays_internal`` against locals rebound at region entry.
-        Must mirror :meth:`_run_loop` decision-for-decision (the
-        bit-identity suite in ``tests/test_fast_path.py`` compares the
-        two).
-        """
-        selector = self.selector
-        cache = self.cache
-        icache = self.icache
-        obs = self.observer
-        observe_interpreted = selector.observe_interpreted
-        on_interpreted_taken = selector.on_interpreted_taken
-        on_cache_enter = selector.on_cache_enter
-        on_cache_exit = selector.on_cache_exit
-        cache_lookup = cache.lookup
-        # Flat id-indexed residency (``bind_program``).  Identity of
-        # the resident region's entry is still the lookup contract, so
-        # a block with a colliding id (hand-built streams over another
-        # program) can never match; blocks without ids fall out as
-        # not-cached, exactly like the dict probe they replace.
-        resident = cache._resident_by_id
-        use_flat = resident is not None
-        edge_get = edge_profile.get
-        make_step = Step
-        profiled = prof is not None
-
-        step_index = 0
-        region: Optional[Region] = None  # None => interpreting
-        trace_position = 0
-        region_is_trace = False
-        # Per-region walk locals, rebound at each region entry — the
-        # inlined twins of TraceRegion.position_after and
-        # CFGRegion.stays_internal, so a walk step makes no method call.
-        path: Tuple[BasicBlock, ...] = ()
-        path_len = 0
-        path0: Optional[BasicBlock] = None
-        cur_blocks: FrozenSet[BasicBlock] = frozenset()
-        cur_edges: FrozenSet[Tuple[BasicBlock, BasicBlock]] = frozenset()
-        cur_dynamic: FrozenSet[BasicBlock] = frozenset()
-        cur_entry: Optional[BasicBlock] = None
-
-        def consume(block, taken, target):
-            nonlocal step_index, region, trace_position, region_is_trace
-            nonlocal path, path_len, path0
-            nonlocal cur_blocks, cur_edges, cur_dynamic, cur_entry
-            step_index += 1
-            cache.now = step_index
-            if step_hooks:
-                for hook in step_hooks:
-                    hook.on_step(step_index)
-
-            if target is not None:
-                edge = (block, target)
-                count = edge_get(edge)
-                edge_profile[edge] = 1 if count is None else count + 1
-
-            current = region
-            if current is None:
-                # ---- interpreting -------------------------------------
-                step = make_step(block, taken, target)
-                observe_interpreted(step)
-                stats.interp_steps += 1
-                stats.interp_instructions += block.bundle.count
-                if taken and target is not None:
-                    if use_flat:
-                        tid = target.block_id
-                        entered = resident[tid] if tid is not None else None
-                        if (entered is not None
-                                and entered.entry is not target):
-                            entered = None
-                    else:
-                        entered = cache_lookup(target)
-                    if entered is not None:
-                        # The branch entering the cache is a history
-                        # boundary: never profiled (Figure 5 lines 1-3),
-                        # but LEI records it so its buffer has no gaps.
-                        on_cache_enter(step)
-                    else:
-                        if profiled:
-                            prof.enter("selector_decide")
-                            entered = on_interpreted_taken(step)
-                            prof.exit()
-                        else:
-                            entered = on_interpreted_taken(step)
-                        if entered is not None and entered.entry is not target:
-                            raise SelectionError(
-                                f"selector {selector.name} returned a region "
-                                f"entered at {entered.entry.full_label} for a "
-                                f"branch to {target.full_label}"
-                            )
-                    if entered is not None:
-                        region = entered
-                        region_is_trace = entered.is_trace
-                        trace_position = 0
-                        if region_is_trace:
-                            path = entered.path
-                            path_len = len(path)
-                            path0 = path[0]
-                        else:
-                            cur_blocks = entered.block_set
-                            cur_edges = entered.edges
-                            cur_dynamic = entered.dynamic_blocks
-                            cur_entry = entered.entry
-                        entered.entry_count += 1
-                        stats.cache_entries += 1
-                        if profiled:
-                            prof.switch("cache_walk")
-                        if events_on:
-                            obs.emit(
-                                "cache_entered",
-                                step_index,
-                                entry=target.full_label,
-                                order=entered.selection_order,
-                            )
-                return
-
-            # ---- executing in the cache -------------------------------
-            count = block.bundle.count
-            stats.cache_steps += 1
-            stats.cache_instructions += count
-            current.executed_instructions += count
-            if icache is not None:
-                base = current.cache_address
-                if base is not None:
-                    if region_is_trace:
-                        offset = current.position_offsets[trace_position]
-                    else:
-                        offset = current.block_offsets[block]
-                    icache.touch(base + offset, block.byte_size)
-
-            if region_is_trace:
-                # Inlined TraceRegion.position_after: advance to the
-                # next path block, or a taken branch back to the top.
-                next_position = trace_position + 1
-                if next_position < path_len and target is path[next_position]:
-                    trace_position = next_position
-                    return
-                if taken and target is path0:
-                    current.cycle_backs += 1
-                    trace_position = 0
-                    return
-            else:
-                # Inlined CFGRegion.stays_internal.
-                if target is not None and target in cur_blocks and (
-                        not taken
-                        or block not in cur_dynamic
-                        or (block, target) in cur_edges):
-                    if target is cur_entry:
-                        current.cycle_backs += 1
-                    return
-
-            # The transfer leaves the region.
-            current.exit_count += 1
-            if target is None:
-                region = None
-                if profiled:
-                    prof.switch("interpret")
-                return
-            if use_flat:
-                tid = target.block_id
-                linked = resident[tid] if tid is not None else None
-                if linked is not None and linked.entry is not target:
-                    linked = None
-            else:
-                linked = cache_lookup(target)
-            if linked is not None:
-                # A linked exit stub: direct region-to-region jump.
-                stats.region_transitions += 1
-                region = linked
-                region_is_trace = linked.is_trace
-                trace_position = 0
-                if region_is_trace:
-                    path = linked.path
-                    path_len = len(path)
-                    path0 = path[0]
-                else:
-                    cur_blocks = linked.block_set
-                    cur_edges = linked.edges
-                    cur_dynamic = linked.dynamic_blocks
-                    cur_entry = linked.entry
-                linked.entry_count += 1
-                return
-            # Exit to the interpreter; the exit target becomes a start
-            # candidate, and (LEI) may complete a cycle that installs and
-            # immediately enters a new region.
-            stats.cache_exits += 1
-            region = None
-            if profiled:
-                prof.switch("interpret")
-            if events_on:
-                obs.emit(
-                    "cache_exit",
-                    step_index,
-                    region_entry=current.entry.full_label,
-                    order=current.selection_order,
-                    exit_target=target.full_label,
-                )
-            step = make_step(block, taken, target)
-            if profiled:
-                prof.enter("selector_decide")
-                on_cache_exit(step, current)
-                prof.exit()
-            else:
-                on_cache_exit(step, current)
-            if use_flat:
-                tid = target.block_id
-                installed = resident[tid] if tid is not None else None
-                if installed is not None and installed.entry is not target:
-                    installed = None
-            else:
-                installed = cache_lookup(target)
-            if installed is not None:
-                region = installed
-                region_is_trace = installed.is_trace
-                trace_position = 0
-                if region_is_trace:
-                    path = installed.path
-                    path_len = len(path)
-                    path0 = path[0]
-                else:
-                    cur_blocks = installed.block_set
-                    cur_edges = installed.edges
-                    cur_dynamic = installed.dynamic_blocks
-                    cur_entry = installed.entry
-                installed.entry_count += 1
-                stats.cache_entries += 1
-                if profiled:
-                    prof.switch("cache_walk")
-                if events_on:
-                    obs.emit(
-                        "cache_entered",
-                        step_index,
-                        entry=target.full_label,
-                        order=installed.selection_order,
-                    )
-
-        if profiled:
+        if prof is not None:
             prof.enter("interpret")
         producer(consume)
         return step_index
@@ -776,8 +525,8 @@ class Simulator:
     ) -> int:
         """The fully fused live loop: engine + simulator in one frame.
 
-        :meth:`run_program`'s loop body.  Where :meth:`_run_push` still
-        pays one consumer call per step, this loop inlines the engine's
+        :meth:`run_program`'s loop body.  Where :meth:`_run_loop` pays
+        one consumer call per step, this loop inlines the engine's
         block-decision dispatch *and* the simulator's per-step logic
         into a single ``while`` over compiled *walk tables*
         (:mod:`repro.cache.dispatch`): every region install compiles a
@@ -820,7 +569,7 @@ class Simulator:
           would return for that exit's statically-known target — the
           dispatch layer re-patches every slot on install and eviction,
           and dynamic-target exits (returns, indirect jumps) fall back
-          to the flat residency table;
+          to the dispatch's flat residency table (``tables_by_entry``);
         * trace-walk edge counts are keyed by *path position* in flat
           lists and folded into ``edge_profile`` once at the end — the
           walked edge is fully determined by the position, and dict
@@ -1274,6 +1023,14 @@ class Simulator:
                             order=region.selection_order,
                         )
                 block = target
+        except (ExecutionError, ProgramStructureError):
+            # Only a decider raises these (a call-stack overflow, a
+            # model that misfits its site), after ``steps`` already
+            # counted the step being decided.  The reference generator
+            # raises before yielding that step, so the oracle's clock
+            # never reaches it: uncount it here, off the per-step path.
+            steps -= 1
+            raise
         finally:
             if region is not None:
                 region.executed_instructions += walk_insts
@@ -1362,8 +1119,9 @@ def simulate(
     streams instead.
 
     ``fast`` selects the fused execute→simulate pipeline (the default;
-    see :meth:`Simulator.run_program`); ``fast=False`` runs the
-    reference generator pipeline instead.  The two produce bit-identical
+    see :meth:`Simulator.run_program`); ``fast=False`` feeds the
+    engine's reference generator through the reference loop body
+    instead.  The two produce bit-identical
     results — the flag only exists so tests and debugging sessions can
     pin a path (see ``docs/performance.md``).
     """

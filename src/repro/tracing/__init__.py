@@ -9,7 +9,8 @@ them to the region-selection simulator.  We provide the same decoupling:
   :class:`~repro.execution.Step` stream from the file;
 * :func:`~repro.tracing.collector.replay_trace_into` pushes the same
   stream into a ``consumer(block, taken, target)`` callback — the
-  allocation-free twin that feeds the simulator's fused pipeline
+  allocation-free twin that feeds the simulator's reference loop body
+  as a push producer
   (:meth:`Simulator.run_push <repro.system.simulator.Simulator.run_push>`).
 
 Because the simulator accepts any iterable of steps, experiments can be

@@ -54,7 +54,7 @@ def replay_trace_into(
     The fast-path twin of :func:`replay_trace`: pair it with
     :meth:`Simulator.run_push
     <repro.system.simulator.Simulator.run_push>` to replay a collected
-    trace through the fused pipeline —
+    trace with no generator suspension and no ``Step`` decoding —
 
     >>> simulator.run_push(
     ...     lambda consume: replay_trace_into(path, program, consume)

@@ -95,7 +95,7 @@ class TraceReader:
         The fast-path twin of :meth:`steps` — identical chunked parse
         and identical error behaviour, but no generator suspension and
         no :class:`Step` allocation, so a replayed run can feed the
-        simulator's fused consume loop
+        simulator's consume callback directly
         (:meth:`~repro.system.simulator.Simulator.run_push`) at
         near-live speed.  Returns the number of records decoded.
         """

@@ -107,3 +107,21 @@ def fleet_substrate(request, monkeypatch):
     elif not backend.HAVE_NUMPY:
         pytest.skip("numpy not installed")
     return request.param
+
+
+@pytest.fixture
+def tiny_call_depth(monkeypatch):
+    """Bound every engine's call stack at depth 3.
+
+    ``micro:recursion`` then overflows a few steps in, which makes an
+    engine-raised abort cheap to reproduce in every pipeline.
+    """
+    from repro.execution.engine import ExecutionEngine
+
+    orig = ExecutionEngine.__init__
+
+    def patched(self, *args, **kwargs):
+        kwargs["max_call_depth"] = 3
+        orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionEngine, "__init__", patched)

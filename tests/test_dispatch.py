@@ -94,7 +94,6 @@ class TestLinkInvariants:
         self, chain_program, chain_regions, picks, policy, capacity
     ):
         cache = BoundedCodeCache(capacity, policy)
-        cache.bind_program(chain_program)
         dispatch = DispatchTable(chain_program, _decider_for(chain_program))
         cache.bind_dispatch(dispatch)
         for index in picks:
@@ -125,7 +124,6 @@ class TestLinkInvariants:
         assert source is not None, "chain workload must produce a link"
 
         cache = CodeCache()
-        cache.bind_program(chain_program)
         dispatch = DispatchTable(chain_program, _decider_for(chain_program))
         cache.bind_dispatch(dispatch)
         cache.insert(source)

@@ -1,12 +1,14 @@
 """Bit-identity suite for the fused fast path (execute→simulate).
 
-The simulator has three pipeline implementations — the reference pull
-generator (``Simulator.run``), the generic push consumer
-(``Simulator.run_push``, used for replay) and the fully fused loop
+The simulator has two loop bodies — the reference loop, fed by a pull
+``Step`` iterable (``Simulator.run``) or a push producer
+(``Simulator.run_push``, used for replay), and the fully fused loop
 (``Simulator.run_program``).  Everything here pins them to each other:
-for every (benchmark × selector) cell the fast paths must reproduce the
-reference results *bit for bit* — metric report, raw run statistics,
-edge profile, selector diagnostics and timeline samples.
+for every (benchmark × selector) cell the fast path and every producer
+must reproduce the reference results *bit for bit* — metric report, raw
+run statistics, edge profile, selector diagnostics and timeline
+samples — and an aborted run must fail at the same step with the same
+context.
 
 The trace codec gets the same treatment: the push-mode writer/decoder
 pair (``TraceWriter.write`` / ``TraceReader.steps_into``) must agree
@@ -23,11 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.batch.fleet import build_fleet_program
+from repro.cache.icache import InstructionCache
 from repro.config import SystemConfig
-from repro.errors import TraceFormatError
+from repro.errors import ExecutionError, TraceFormatError
 from repro.execution.engine import ExecutionEngine
 from repro.metrics.linking import inter_region_links, resident_inter_region_links
 from repro.metrics.summary import MetricReport
+from repro.obs import CollectingSink, MetricsRegistry, Observer
 from repro.program.builder import ProgramBuilder
 from repro.selection.registry import RELATED_SELECTOR_NAMES, SELECTOR_NAMES
 from repro.system.simulator import Simulator, simulate
@@ -104,6 +109,34 @@ class TestFusedVersusReference:
             simulator.run_program(engine)
 
 
+class TestErrorParity:
+    """An engine-raised abort reports the oracle's step on the fused path.
+
+    A call-depth bound of 3 makes ``micro:recursion`` overflow its call
+    stack a few steps in; the failing step is decided, not consumed, so
+    both pipelines must attach the step before it.
+    """
+
+    @staticmethod
+    def _failure(program, selector, seed, fast):
+        sink = CollectingSink()
+        with pytest.raises(ExecutionError) as excinfo:
+            simulate(program, selector, seed=seed, fast=fast,
+                     observer=Observer(sink=sink))
+        (failed,) = sink.by_kind("run_failed")
+        return str(excinfo.value), excinfo.value.context, failed.step
+
+    @pytest.mark.parametrize("selector", SELECTOR_NAMES)
+    def test_call_overflow_matches_reference(self, tiny_call_depth, selector):
+        program = build_fleet_program("micro:recursion", 0.3)
+        for seed in (1, 2, 3):
+            fast = self._failure(program, selector, seed, fast=True)
+            ref = self._failure(program, selector, seed, fast=False)
+            assert fast == ref
+            _, context, failed_step = ref
+            assert context["step"] == failed_step
+
+
 class TestBoundedCacheIdentity:
     """The link-invalidation path: fast == reference under eviction.
 
@@ -160,23 +193,89 @@ class TestLinkingIdentity:
         assert resident_inter_region_links(result) == inter_region_links(result)
 
 
+def _bounded(policy):
+    return {"config": SystemConfig(cache_capacity_bytes=300,
+                                   cache_eviction_policy=policy)}
+
+
+#: Replay inputs: ``(fresh run kwargs, proof the input engaged)``.
+#: Besides the plain run, each entry switches on per-step observers
+#: that a replay producer must drive exactly like the live reference.
+#: The kwargs are rebuilt per run (an icache and an observer hold
+#: per-run state).
+REPLAY_INPUTS = {
+    None: (dict, lambda result: True),
+    "bounded-flush": (lambda: _bounded("flush"),
+                      lambda result: result.cache_evictions > 0),
+    "bounded-fifo": (lambda: _bounded("fifo"),
+                     lambda result: result.cache_evictions > 0),
+    "sample-every": (lambda: {"sample_every": 500},
+                     lambda result: len(result.samples) > 1),
+    "icache": (lambda: {"icache": InstructionCache()},
+               lambda result: result.icache.accesses > 0),
+    "observer": (lambda: {"observer": Observer(metrics=MetricsRegistry(),
+                                               sink=CollectingSink())},
+                 lambda result: bool(result.metrics)),
+}
+REPLAY_CASES = [
+    (observed, selector)
+    for observed in REPLAY_INPUTS for selector in SELECTOR_NAMES
+]
+
+
+def _observed(result, kwargs):
+    """Everything an observed run measures, in comparable form."""
+    icache = result.icache
+    observer = kwargs.get("observer")
+    return (
+        _fingerprint(result),
+        None if icache is None else (icache.accesses, icache.misses),
+        result.metrics,
+        None if observer is None else [
+            (event.kind, event.step) for event in observer.sink.events
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def gzip_trace(tmp_path_factory, programs):
+    """A trace of the gzip program, and the step count written."""
+    trace = tmp_path_factory.mktemp("replay") / "gzip.rtrc"
+    written = collect_trace(ExecutionEngine(programs["gzip"], seed=0), trace)
+    return trace, written
+
+
 class TestReplayMatchesLive:
-    @pytest.mark.parametrize("selector", SELECTOR_NAMES)
-    def test_collected_trace_replays_identically(self, tmp_path, programs,
-                                                 selector):
+    @pytest.mark.parametrize(
+        "observed, selector", REPLAY_CASES,
+        ids=[selector if observed is None else f"{observed}-{selector}"
+             for observed, selector in REPLAY_CASES],
+    )
+    def test_collected_trace_replays_identically(self, gzip_trace, programs,
+                                                 observed, selector):
         program = programs["gzip"]
-        trace = tmp_path / "trace.rtrc"
-        written = collect_trace(ExecutionEngine(program, seed=0), trace)
+        trace, written = gzip_trace
+        make_kwargs, engaged = REPLAY_INPUTS[observed]
 
-        live = simulate(program, selector, seed=0)
-        assert written == live.stats.interp_steps + live.stats.cache_steps
-
-        pull = Simulator(program, selector).run(replay_trace(trace, program))
-        push = Simulator(program, selector).run_push(
-            lambda consume: replay_trace_into(trace, program, consume)
-        )
-        assert _fingerprint(pull) == _fingerprint(live)
-        assert _fingerprint(push) == _fingerprint(live)
+        kwargs = make_kwargs()
+        live_result = simulate(program, selector, seed=0, fast=False,
+                               **kwargs)
+        assert engaged(live_result)
+        assert written == (live_result.stats.interp_steps
+                           + live_result.stats.cache_steps)
+        live = _observed(live_result, kwargs)
+        kwargs = make_kwargs()
+        pull = _observed(
+            Simulator(program, selector, **kwargs).run(
+                replay_trace(trace, program)),
+            kwargs)
+        kwargs = make_kwargs()
+        push = _observed(
+            Simulator(program, selector, **kwargs).run_push(
+                lambda consume: replay_trace_into(trace, program, consume)),
+            kwargs)
+        assert pull == live
+        assert push == live
 
     def test_push_collection_writes_reference_bytes(self, tmp_path, programs):
         program = programs["gzip"]
